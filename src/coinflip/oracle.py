@@ -6,21 +6,19 @@ overlap. The coins outside the overlap are exactly the ones that must
 move, so min_moves = total - max_overlap is the exact puzzle answer, not
 an estimate.
 
-The translation scan is the hot loop. A compiled kernel
-(coinflip._scan_cy, built from Cython at install time) is used when it
-imported cleanly and coordinates fit its 2**30 range; otherwise the
-pure-Python reference kernel runs. Set COINFLIP_PURE=1 to force the pure
-kernel. Both produce identical results; benchmarks/bench_scan.py compares
-them.
+The translation scan is the hot loop; coinflip._scan.scan_pairs runs it.
+It has two exact pure-Python kernels: a big-integer product over the
+bounding-box grid for dense shapes, and the reference Counter over all
+coin pairs for sparse or far-flung ones. A cost model read off the
+bounding boxes picks between them per call.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from coinflip import _scan as _pure
+from coinflip import _scan
 from coinflip.lattice import (
     Coord,
     FlipKind,
@@ -30,20 +28,14 @@ from coinflip.lattice import (
     translate,
 )
 
-if os.environ.get("COINFLIP_PURE") == "1":
-    _kernel = None
-else:
-    try:
-        from coinflip import _scan_cy as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        _kernel = None
-
-_KERNEL_COORD_LIMIT = 1 << 30
-
 
 def backend() -> str:
-    """Which scan kernel solve() dispatches to: "compiled" or "pure"."""
-    return "compiled" if _kernel is not None else "pure"
+    """Which scan implementation solve() uses: always "pure".
+
+    Both kernels are pure Python (standard library only); scan_pairs
+    picks the big-integer product or the pair Counter per call, by cost.
+    """
+    return "pure"
 
 
 class Placement(NamedTuple):
@@ -97,17 +89,6 @@ def target_set(start, placement: Placement) -> frozenset:
     return translate(flip_set(start, placement.flip), placement.shift)
 
 
-def _scan(start_pts, flipped_pts):
-    if _kernel is not None and all(
-        -_KERNEL_COORD_LIMIT < v < _KERNEL_COORD_LIMIT
-        for p in (start_pts, flipped_pts)
-        for c in p
-        for v in c
-    ):
-        return _kernel.scan_pairs(start_pts, flipped_pts)
-    return _pure.scan_pairs(start_pts, flipped_pts)
-
-
 def solve(start, flip: FlipKind) -> OverlapResult:
     """Exhaustive search for the minimum number of moves.
 
@@ -120,7 +101,7 @@ def solve(start, flip: FlipKind) -> OverlapResult:
         raise ValueError("cannot solve an empty coin set")
     start_pts = sorted(start)
     flipped_pts = sorted(flip.apply(c) for c in start_pts)
-    best, shifts = _scan(start_pts, flipped_pts)
+    best, shifts = _scan.scan_pairs(start_pts, flipped_pts)
     placements = tuple(Placement(flip, (da, db)) for da, db in shifts)
     return OverlapResult(
         total_coins=len(start),

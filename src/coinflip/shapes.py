@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from coinflip.lattice import Coord, FlipKind
+
+# The shape-file integer grammar. int() alone would also take "1_0", "+3"
+# and non-ASCII digits.
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 class ShapeFormatError(ValueError):
@@ -46,6 +51,8 @@ def hexagon(k: int) -> frozenset:
 def load_custom(source: str) -> frozenset:
     """Parse shape file text: one `a b` coordinate pair per line.
 
+    Each coordinate is an optional minus sign and ASCII digits.
+
     Lines starting with `#` are comments; blank lines are ignored; CRLF is
     accepted. Duplicate coordinates and empty shapes are rejected.
     """
@@ -55,11 +62,10 @@ def load_custom(source: str) -> frozenset:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise ShapeFormatError(
-                f"expected two integers `a b`, got {line!r}", lineno
-            )
         try:
+            if len(parts) != 2 or not all(map(_INTEGER.fullmatch, parts)):
+                raise ValueError
+            # int() still refuses numbers past its digit limit
             coord = Coord(int(parts[0]), int(parts[1]))
         except ValueError:
             raise ShapeFormatError(

@@ -4,7 +4,7 @@ import io
 import pytest
 
 from coinflip import cli, formulas
-from coinflip.shapes import serialize, triangle_up
+from coinflip.shapes import ShapeFormatError, load_custom, serialize, triangle_up
 from golden_tables import RHOMBUS_TABLE, TRIANGLE_TABLE, moves_of
 
 
@@ -267,6 +267,18 @@ def test_unreadable_shape_file(capsys, tmp_path):
 def test_malformed_shape_file_reports_line(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 0\n1 nope\n")
+    code, err = run_error(capsys, ["solve", "--shape-file", str(path)])
+    assert code == 2
+    assert "line 2" in err
+
+
+@pytest.mark.parametrize("field", ["1_0", "+3", "\u0661"])
+def test_shape_file_integers_are_plain_ascii(capsys, tmp_path, field):
+    text = f"0 0\n{field} 1\n"
+    with pytest.raises(ShapeFormatError, match="line 2"):
+        load_custom(text)
+    path = tmp_path / "shape.txt"
+    path.write_text(text, encoding="utf-8")
     code, err = run_error(capsys, ["solve", "--shape-file", str(path)])
     assert code == 2
     assert "line 2" in err

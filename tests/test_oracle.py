@@ -3,6 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coinflip._scan import (
+    MAX_GRID_BYTES,
+    Grid,
+    counter_scan,
+    grid_of,
+    prefers_product,
+    product_scan,
+)
 from coinflip.lattice import Coord, FlipKind, flip_set, translate
 from coinflip.oracle import (
     Placement,
@@ -163,18 +171,89 @@ def test_oracle_matches_bounding_box_scan():
             assert shifts_of(result) == shifts
 
 
-@pytest.mark.skipif(backend() == "pure", reason="compiled kernel not built")
-def test_compiled_and_pure_kernels_agree():
-    from coinflip import _scan as pure
-    from coinflip import _scan_cy as compiled
+def scan_inputs(shape, flip):
+    start = sorted(shape)
+    return start, sorted(flip.apply(c) for c in start)
 
+
+def test_product_and_counter_kernels_agree():
     for shape in corpus():
         for flip in FlipKind:
-            start = sorted(shape)
-            flipped = sorted(flip.apply(c) for c in start)
-            assert compiled.scan_pairs(start, flipped) == pure.scan_pairs(
-                start, flipped
-            )
+            start, flipped = scan_inputs(shape, flip)
+            assert product_scan(start, flipped) == counter_scan(start, flipped)
+
+
+@given(
+    point_sets,
+    st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+    st.sampled_from(list(FlipKind)),
+)
+@settings(max_examples=80, deadline=None)
+def test_kernels_agree_on_shifted_shapes(points, offset, flip):
+    start, flipped = scan_inputs(translate(points, offset), flip)
+    assert product_scan(start, flipped) == counter_scan(start, flipped)
+
+
+def line(n):
+    return frozenset(Coord(a, 0) for a in range(n))
+
+
+@pytest.mark.parametrize(
+    "shape, cell_bytes",
+    [
+        (line(255), 1),  # overlap 255 fills a one-byte cell exactly
+        (line(256), 2),
+        (rhombus(16) - {Coord(0, 0)}, 1),  # 255 coins
+        (rhombus(16), 2),  # 256 coins
+    ],
+)
+def test_kernels_agree_at_the_cell_width_boundary(shape, cell_bytes):
+    for flip in FlipKind:
+        start, flipped = scan_inputs(shape, flip)
+        assert grid_of(start, flipped).cell_bytes == cell_bytes
+        assert product_scan(start, flipped) == counter_scan(start, flipped)
+
+
+def test_product_kernel_counts_repeated_points():
+    start, flipped = [(0, 0), (0, 0), (1, 0)], [(-1, 0), (0, 0)]
+    assert product_scan(start, flipped) == counter_scan(start, flipped) == (3, [(1, 0)])
+
+
+def scatter(coins, side, seed):
+    rng = random.Random(seed)
+    pts = set()
+    while len(pts) < coins:
+        pts.add(Coord(rng.randrange(side), rng.randrange(side)))
+    return frozenset(pts)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        frozenset({Coord(0, 0), Coord(1, 0), Coord(2**40, 0)}),
+        scatter(250, 2**13, 7),
+        scatter(250, 200, 7),  # fits the byte cap, but the grid is too sparse
+    ],
+)
+def test_sparse_shapes_stay_on_the_counter(shape):
+    start, flipped = scan_inputs(shape, FlipKind.ROTATE_180)
+    assert not prefers_product(grid_of(start, flipped), len(start) ** 2)
+
+
+def test_byte_cap_bounds_the_grid():
+    # a dense 2-byte grid just over and just under MAX_GRID_BYTES, with so
+    # many pairs that only the cap can turn the product down
+    cells_at_cap = MAX_GRID_BYTES // 2
+    over = Grid(cells_at_cap + 1, 1, 1, 0, 0, 0, 0, cell_bytes=2)
+    under = over._replace(width=cells_at_cap)
+    assert not prefers_product(over, 10**15)
+    assert prefers_product(under, 10**15)
+
+
+def test_dense_shapes_take_the_product():
+    for shape in (triangle_up(14), rhombus(40), hexagon(7), triangle_up(160)):
+        start, flipped = scan_inputs(shape, FlipKind.ROTATE_180)
+        assert prefers_product(grid_of(start, flipped), len(start) ** 2)
 
 
 # ------------------------------------------------------------- properties
@@ -318,4 +397,4 @@ def test_degenerate_flips_cost_nothing():
 
 
 def test_backend_reports_a_known_kernel():
-    assert backend() in ("compiled", "pure")
+    assert backend() == "pure"
