@@ -38,7 +38,6 @@ from coinflip.oracle import (
     Placement,
     ProtrusionReport,
     backend,
-    count_optimal_placements,
     move_plan,
     protrusions,
     solve,
@@ -71,7 +70,6 @@ __all__ = [
     "backend",
     "classify_triangle",
     "connected_components",
-    "count_optimal_placements",
     "distance_sq",
     "flip_set",
     "hexagon",

@@ -11,11 +11,21 @@ It has two exact pure-Python kernels: a big-integer product over the
 bounding-box grid for dense shapes, and the reference Counter over all
 coin pairs for sparse or far-flung ones. A cost model read off the
 bounding boxes picks between them per call.
+
+Both kernels name each shift by one integer key, (da - a0)·H + (db - b0)
+with H the combined b-extent of the two shapes, so that ascending keys
+are ascending (da, db); the product kernel's grid has one row of H cells
+per da, and a cell's index is its key. A far-flung shape can tie hundreds
+of thousands of shifts, so solve() keeps the sorted keys and
+`Placements` decodes a placement only when it is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
+from operator import eq
 from typing import NamedTuple, Optional
 
 from coinflip import _scan
@@ -45,12 +55,55 @@ class Placement(NamedTuple):
     shift: tuple[int, int]
 
 
+class Placements(Sequence):
+    """Read-only sequence of the optimal placements of one flip, ascending
+    by shift. Each Placement is decoded from `shifts` when it is read;
+    membership is a binary search. Compares equal to a tuple of the same
+    placements, and hashes like one."""
+
+    __slots__ = ("flip", "shifts")
+
+    def __init__(self, flip: FlipKind, shifts: _scan.Shifts):
+        self.flip, self.shifts = flip, shifts
+
+    def __len__(self) -> int:
+        return len(self.shifts)
+
+    def __getitem__(self, i) -> Placement:
+        return Placement(self.flip, self.shifts[i])
+
+    def __iter__(self):
+        flip = self.flip
+        for shift in self.shifts:
+            yield Placement(flip, shift)
+
+    def __contains__(self, placement) -> bool:
+        try:
+            flip, shift = placement
+        except (TypeError, ValueError):
+            return False
+        return flip == self.flip and shift in self.shifts
+
+    def __eq__(self, other):
+        if isinstance(other, Placements):
+            return self.flip == other.flip and self.shifts == other.shifts
+        if isinstance(other, tuple):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Placements({self.flip}, {list(self.shifts)!r})"
+
+
 @dataclass(frozen=True)
 class OverlapResult:
     total_coins: int
     max_overlap: int
     min_moves: int
-    optimal_placements: tuple[Placement, ...]
+    optimal_placements: Placements
 
 
 @dataclass(frozen=True)
@@ -93,31 +146,39 @@ def solve(start, flip: FlipKind) -> OverlapResult:
     """Exhaustive search for the minimum number of moves.
 
     Every translation achieving any overlap at all is evaluated, so the
-    reported maximum is exact and optimal_placements lists all maximizing
-    shifts in ascending (da, db) order.
+    reported maximum is exact and optimal_placements holds all maximizing
+    shifts in ascending (da, db) order, as a lazy read-only sequence.
     """
     start = frozenset(Coord(a, b) for a, b in start)
     if not start:
         raise ValueError("cannot solve an empty coin set")
-    start_pts = sorted(start)
-    flipped_pts = sorted(flip.apply(c) for c in start_pts)
+    start_pts = list(start)
+    flipped_pts = [flip.apply(c) for c in start_pts]
     best, shifts = _scan.scan_pairs(start_pts, flipped_pts)
-    placements = tuple(Placement(flip, (da, db)) for da, db in shifts)
     return OverlapResult(
         total_coins=len(start),
         max_overlap=best,
         min_moves=len(start) - best,
-        optimal_placements=placements,
+        optimal_placements=Placements(flip, shifts),
     )
+
+
+# A rejection lists this many optimal shifts, not all of them: a far-flung
+# shape can tie hundreds of thousands.
+_SHIFTS_SHOWN = 5
 
 
 def _require_optimal(start, placement, result):
     if result is None:
         result = solve(start, placement.flip)
-    if placement not in result.optimal_placements:
+    optimal = result.optimal_placements
+    if placement not in optimal:
+        shown = ", ".join(str(p.shift) for p in islice(optimal, _SHIFTS_SHOWN))
+        if len(optimal) > _SHIFTS_SHOWN:
+            shown += ", ..."
         raise ValueError(
-            f"placement {placement} is not optimal; optimal shifts are "
-            f"{[p.shift for p in result.optimal_placements]}"
+            f"placement {placement} is not optimal; the {len(optimal)} "
+            f"optimal shifts are [{shown}]"
         )
     return result
 
@@ -181,7 +242,3 @@ def move_plan(
     froms = sorted(start - target)
     tos = sorted(target - start)
     return MovePlan(moves=tuple(zip(froms, tos)))
-
-
-def count_optimal_placements(start, flip: FlipKind) -> int:
-    return len(solve(start, flip).optimal_placements)

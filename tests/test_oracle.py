@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,12 +11,12 @@ from coinflip._scan import (
     grid_of,
     prefers_product,
     product_scan,
+    scan_pairs,
 )
 from coinflip.lattice import Coord, FlipKind, flip_set, translate
 from coinflip.oracle import (
     Placement,
     backend,
-    count_optimal_placements,
     move_plan,
     protrusions,
     solve,
@@ -83,7 +84,7 @@ def test_triangle_4_unique_optimum():
     assert result.max_overlap == 7
     assert result.min_moves == 3
     assert shifts_of(result) == [(2, 2)]
-    assert count_optimal_placements(triangle_up(4), FlipKind.ROTATE_180) == 1
+    assert len(solve(triangle_up(4), FlipKind.ROTATE_180).optimal_placements) == 1
 
 
 def test_triangle_5_has_three_optima_all_3_1_1():
@@ -256,6 +257,59 @@ def test_dense_shapes_take_the_product():
         assert prefers_product(grid_of(start, flipped), len(start) ** 2)
 
 
+# Coordinates up to 2^40 in size, mixed with small ones so that some
+# shapes are compact enough for the product kernel's grid.
+far_coords = st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40))
+far_flung_sets = st.frozensets(
+    st.tuples(far_coords, far_coords).map(lambda t: Coord(*t)),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(far_flung_sets, st.sampled_from(list(FlipKind)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_far_flung_shapes_match_a_tuple_counter(points, flip, data):
+    start, flipped = scan_inputs(points, flip)
+    counts = Counter((sa - fa, sb - fb) for sa, sb in start for fa, fb in flipped)
+    best = max(counts.values())
+    expected = sorted(t for t, c in counts.items() if c == best)
+
+    overlap, shifts = scan_pairs(start, flipped)
+    assert overlap == best
+    assert len(shifts) == len(expected)
+    assert list(shifts) == expected
+    assert all(type(k) is int for k in shifts.keys)
+    assert shifts.keys == sorted(set(shifts.keys))
+    image = flip_set(points, flip)
+    for shift in shifts:
+        assert len(points & translate(image, shift)) == best
+
+    # the lazy view answers like the list it decodes to
+    assert shifts == expected
+    assert shifts[0] == expected[0] and shifts[-1] == expected[-1]
+    i = data.draw(st.integers(-len(expected), len(expected) - 1))
+    assert shifts[i] == expected[i]
+    assert all(t in shifts for t in expected)
+    a0, b0, width = shifts.a0, shifts.b0, shifts.width
+    absent = [
+        (a0 - 1, b0),
+        (a0, b0 - 1),  # db - b0 below [0, H)
+        (a0, b0 + width),  # db - b0 at H: its key aliases (a0 + 1, b0)
+        (expected[-1][0] + 1, expected[-1][1]),
+        (expected[0][0] - 1, expected[0][1] + width),
+        data.draw(st.tuples(far_coords, far_coords)),
+    ]
+    for t in absent:
+        assert (t in shifts) == (t in expected)
+    assert "not a shift" not in shifts and (0, 0, 0) not in shifts
+
+    # both kernels agree wherever the product's grid is small enough to build
+    grid = grid_of(start, flipped)
+    if grid.cells * grid.cell_bytes <= 1 << 16:
+        assert product_scan(start, flipped) == counter_scan(start, flipped)
+
+
 # ------------------------------------------------------------- properties
 
 
@@ -334,6 +388,39 @@ def test_nonoptimal_placement_is_rejected():
         protrusions(start, bad)
     with pytest.raises(ValueError, match="not optimal"):
         move_plan(start, bad)
+
+
+def test_far_flung_rejection_lists_few_shifts():
+    start = scatter(120, 2**40, 11)
+    result = solve(start, FlipKind.MIRROR_HORIZONTAL)
+    assert len(result.optimal_placements) == 120 * 120
+    bad = Placement(FlipKind.MIRROR_HORIZONTAL, (2**50, 0))
+    with pytest.raises(ValueError, match="not optimal") as exc:
+        move_plan(start, bad, result=result)
+    message = str(exc.value)
+    assert "the 14400 optimal shifts" in message
+    assert str(result.optimal_placements[4].shift) in message
+    assert str(result.optimal_placements[5].shift) not in message
+    assert len(message) < 400
+
+
+def test_placement_membership_checks_the_flip():
+    result = solve(triangle_up(4), FlipKind.ROTATE_180)
+    assert Placement(FlipKind.ROTATE_180, (2, 2)) in result.optimal_placements
+    assert Placement(FlipKind.MIRROR_VERTICAL, (2, 2)) not in result.optimal_placements
+    assert (2, 2) not in result.optimal_placements
+    with pytest.raises(ValueError, match="not optimal"):
+        move_plan(triangle_up(4), Placement(FlipKind.MIRROR_VERTICAL, (2, 2)), result=result)
+
+
+def test_results_compare_and_hash_by_value():
+    a = solve(triangle_up(5), FlipKind.ROTATE_180)
+    b = solve(sorted(triangle_up(5)), FlipKind.ROTATE_180)
+    assert a == b and hash(a) == hash(b)
+    placements = tuple(a.optimal_placements)
+    assert a.optimal_placements == placements
+    assert hash(a.optimal_placements) == hash(placements)
+    assert a != solve(triangle_up(5), FlipKind.MIRROR_VERTICAL)
 
 
 def test_protrusions_reject_too_many_parts():
