@@ -10,7 +10,7 @@ import sys
 from dataclasses import dataclass
 
 from coinflip import formulas, oracle, render, shapes
-from coinflip.lattice import FlipKind
+from coinflip.lattice import FlipKind, classify_triangle, connected_components
 
 FLIP_NAMES = {f.value: f for f in FlipKind}
 
@@ -226,7 +226,11 @@ def cmd_render(args, parser) -> int:
     if args.format == "svg":
         print(render.svg_diagram(coins, target))
     else:
-        print(render.ascii_diagram(coins, target))
+        try:
+            art = render.ascii_diagram(coins, target)
+        except ValueError as exc:
+            parser.error(f"{exc}; use --format svg")
+        print(art)
         print()
         print(render.ASCII_LEGEND)
         print(
@@ -257,7 +261,8 @@ def run_verify(max_rows: int) -> int:
                 n, "triangle formulas disagree",
                 f"  old={t_old} new={t_new.moves} polynomial={t_poly}",
             )
-        t_res = oracle.solve(shapes.triangle_up(n), FlipKind.ROTATE_180)
+        tri = shapes.triangle_up(n)
+        t_res = oracle.solve(tri, FlipKind.ROTATE_180)
         if t_res.min_moves != t_new.moves:
             return _verify_fail(
                 n, "triangle oracle disagrees with formulas",
@@ -265,9 +270,7 @@ def run_verify(max_rows: int) -> int:
                 f"placements={[p.shift for p in t_res.optimal_placements]}",
             )
         for placement in t_res.optimal_placements:
-            rep = oracle.protrusions(
-                shapes.triangle_up(n), placement, expected_parts=3, result=t_res
-            )
+            rep = oracle.protrusions(tri, placement, expected_parts=3, result=t_res)
             bad = [c for c in rep.source_components if c.triangle is None]
             src = _component_sizes(rep.source_components)
             tgt = _component_sizes(rep.target_components)
@@ -324,8 +327,6 @@ def cmd_verify(args, parser) -> int:
 
 def cmd_analyze(args, parser) -> int:
     spec, coins = _resolve_shape(args, parser)
-    from coinflip.lattice import classify_triangle, connected_components
-
     print(f"shape: {spec.label()}")
     print(f"total coins: {len(coins)}")
     a_lo, a_hi = min(c.a for c in coins), max(c.a for c in coins)
@@ -354,50 +355,77 @@ def cmd_analyze(args, parser) -> int:
 # -- entry point --------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coinflip",
-        description="Exact solver for flipping coin shapes on the triangular lattice",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _solve_arguments(sub: argparse.ArgumentParser):
+    _add_shape_args(sub)
+    sub.add_argument("--flip", choices=sorted(FLIP_NAMES), help="flip kind (default per family)")
+    sub.add_argument("--moves", action="store_true", help="print the explicit move list")
 
-    p_solve = sub.add_parser("solve", help="minimum moves to flip a shape")
-    _add_shape_args(p_solve)
-    p_solve.add_argument("--flip", choices=sorted(FLIP_NAMES), help="flip kind (default per family)")
-    p_solve.add_argument("--moves", action="store_true", help="print the explicit move list")
-    p_solve.set_defaults(func=cmd_solve)
 
-    p_table = sub.add_parser("table", help="move-count table for a shape family")
-    p_table.add_argument("family", choices=["triangle", "rhombus"])
-    p_table.add_argument("max_rows", type=int)
-    p_table.add_argument("--format", choices=["markdown", "csv"], default="markdown")
-    p_table.add_argument(
+def _table_arguments(sub: argparse.ArgumentParser):
+    sub.add_argument("family", choices=["triangle", "rhombus"])
+    sub.add_argument("max_rows", type=int)
+    sub.add_argument("--format", choices=["markdown", "csv"], default="markdown")
+    sub.add_argument(
         "--verbose-diff",
         action="store_true",
         help="print increments as subtractions, e.g. '5 - 3 = 2'",
     )
-    p_table.set_defaults(func=cmd_table)
 
-    p_render = sub.add_parser("render", help="draw a superimposition diagram")
-    _add_shape_args(p_render)
-    p_render.add_argument("--flip", choices=sorted(FLIP_NAMES))
-    p_render.add_argument("--placement", type=int, default=0, help="optimal placement index")
-    p_render.add_argument("--format", choices=["ascii", "svg"], default="ascii")
-    p_render.set_defaults(func=cmd_render)
 
-    p_verify = sub.add_parser("verify", help="check formulas against the oracle")
-    p_verify.add_argument("max_rows", type=int)
-    p_verify.set_defaults(func=cmd_verify)
+def _render_arguments(sub: argparse.ArgumentParser):
+    _add_shape_args(sub)
+    sub.add_argument("--flip", choices=sorted(FLIP_NAMES))
+    sub.add_argument("--placement", type=int, default=0, help="optimal placement index")
+    sub.add_argument("--format", choices=["ascii", "svg"], default="ascii")
 
-    p_analyze = sub.add_parser("analyze", help="structure report for a shape")
-    _add_shape_args(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
 
+def _verify_arguments(sub: argparse.ArgumentParser):
+    sub.add_argument("max_rows", type=int)
+
+
+# name -> (help, add_arguments, handler), in the order help lists them
+COMMANDS = {
+    "solve": ("minimum moves to flip a shape", _solve_arguments, cmd_solve),
+    "table": ("move-count table for a shape family", _table_arguments, cmd_table),
+    "render": ("draw a superimposition diagram", _render_arguments, cmd_render),
+    "verify": ("check formulas against the oracle", _verify_arguments, cmd_verify),
+    "analyze": ("structure report for a shape", _add_shape_args, cmd_analyze),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The coinflip parser, with every subcommand or only `command`.
+
+    Configuring a subparser costs far more than parsing with it (each
+    ArgumentParser and add_argument looks up gettext and the terminal
+    size), so main() configures only the subcommand it was given. Any
+    other argv (none, -h, an unknown command) gets the full parser, whose
+    help and error messages list every command.
+
+    A one-command parser pins the subcommand metavar to the full list, so
+    the top-level usage line it prints with an error (an unrecognized
+    argument, or a handler's parser.error) is the one the full parser
+    prints. The full parser keeps the default metavar, because
+    a pinned one would also rename the action in its "invalid choice" and
+    "required" messages.
+    """
+    parser = argparse.ArgumentParser(
+        prog="coinflip",
+        description="Exact solver for flipping coin shapes on the triangular lattice",
+    )
+    pinned = {} if command is None else {"metavar": "{" + ",".join(COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **pinned)
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     return args.func(args, parser)
 

@@ -28,23 +28,50 @@ def classify_cells(start, target) -> dict[Coord, str]:
     return cells
 
 
+# An ASCII grid holds lines x columns characters however few coins it
+# shows, so far-apart coins would ask for an unbounded string. 16 Mi
+# characters is about a 2900 x 5800 grid: far past anything a terminal
+# shows, yet bounded. SVG output is one element per coin and has no cap.
+MAX_ASCII_CHARS = 1 << 24
+
+
+def _grid_box(cells) -> tuple[int, int, int, int]:
+    """Top lattice row, leftmost column, line count and column count."""
+    cols = [2 * a + b for a, b in cells]
+    rows = [b for _, b in cells]
+    b_hi, min_col = max(rows), min(cols)
+    return b_hi, min_col, b_hi - min(rows) + 1, max(cols) - min_col + 1
+
+
+def ascii_extent(start, target) -> tuple[int, int]:
+    """Lines and columns of ascii_diagram(start, target), without drawing it."""
+    _, _, lines, columns = _grid_box(classify_cells(start, target))
+    return lines, columns
+
+
 def ascii_diagram(start, target) -> str:
     """Character grid of the superimposition.
 
     Each lattice row (constant b) gets one text line, shifted half a cell
     per row so the layout mimics penny packing: column = 2a + b.
+    Raises ValueError, before drawing, when the grid would hold more than
+    MAX_ASCII_CHARS characters.
     """
     cells = classify_cells(start, target)
-    min_col = min(2 * a + b for a, b in cells)
-    max_col = max(2 * a + b for a, b in cells)
-    b_lo = min(b for _, b in cells)
-    b_hi = max(b for _, b in cells)
+    b_hi, min_col, height, width = _grid_box(cells)
+    if height * width > MAX_ASCII_CHARS:
+        raise ValueError(
+            f"ASCII diagram would be {height} lines x {width} columns = "
+            f"{height * width} characters, over the limit of {MAX_ASCII_CHARS}"
+        )
+    by_row: dict[int, list[tuple[int, str]]] = {}
+    for (a, b), kind in cells.items():
+        by_row.setdefault(b, []).append((2 * a + b - min_col, ASCII_GLYPHS[kind]))
     lines = []
-    for b in range(b_hi, b_lo - 1, -1):
-        line = [" "] * (max_col - min_col + 1)
-        for (a, bb), kind in cells.items():
-            if bb == b:
-                line[2 * a + bb - min_col] = ASCII_GLYPHS[kind]
+    for b in range(b_hi, b_hi - height, -1):
+        line = [" "] * width
+        for col, glyph in by_row.get(b, ()):
+            line[col] = glyph
         lines.append("".join(line).rstrip())
     return "\n".join(lines)
 

@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from coinflip import cli, formulas
+from coinflip import cli, formulas, render
 from coinflip.shapes import ShapeFormatError, load_custom, serialize, triangle_up
 from golden_tables import RHOMBUS_TABLE, TRIANGLE_TABLE, moves_of
 
@@ -319,3 +319,96 @@ def test_analyze_custom_disconnected(capsys, tmp_path):
     assert code == 0
     assert "connected components: 2" in out
     assert "1 coins, up triangle, 1 rows" in out
+
+
+def test_render_refuses_an_oversized_ascii_grid(capsys, tmp_path):
+    # two coins whose grid is 4096 lines x 4098 columns, just over the cap;
+    # drawn anyway it would still finish in a fraction of a second
+    path = tmp_path / "far.txt"
+    path.write_text("0 0\n-4096 4095\n")
+    code, err = run_error(capsys, ["render", "--shape-file", str(path)])
+    assert code == 2
+    assert "4096 lines x 4098 columns = 16785408 characters" in err
+    assert str(render.MAX_ASCII_CHARS) in err
+    code, out = run(capsys, ["render", "--shape-file", str(path), "--format", "svg"])
+    assert code == 0
+    assert out.count('r="0.5"') == 2
+
+
+# ------------------------------------------------------------ parser build
+
+# main() builds only the subcommand it is given; every argv must parse,
+# print and fail exactly as it does with the full parser.
+PARSER_ARGV = [
+    ["solve", "triangle", "4"],
+    ["solve", "rhombus", "3", "--flip", "mirror-v", "--moves"],
+    ["solve", "--shape-file", "shape.txt"],
+    ["table", "triangle", "5", "--format", "csv", "--verbose-diff"],
+    ["render", "hexagon", "2", "--placement", "1", "--format", "svg"],
+    ["verify", "3"],
+    ["analyze", "triangle", "3"],
+    *([name, "-h"] for name in ("solve", "table", "render", "verify", "analyze")),
+    ["solve"],
+    ["solve", "triangle", "4", "extra"],
+    ["solve", "triangle", "four"],
+    ["solve", "square", "4"],
+    ["solve", "triangle", "4", "--flip", "sideways"],
+    ["table", "triangle"],
+    ["table", "square", "3"],
+    ["render", "triangle", "4", "--format", "png"],
+    ["analyze", "triangle", "3", "--moves"],
+    ["verify", "3", "4"],
+    ["verify"],
+    [],
+    ["-h"],
+    ["frobnicate"],
+    ["sol"],
+    ["--", "solve"],
+]
+
+
+def parse_outcome(parser, argv, capsys):
+    try:
+        namespace = vars(parser.parse_args(argv))
+        code = None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    if namespace is not None:
+        namespace["func"] = namespace["func"].__name__
+    out, err = capsys.readouterr()
+    return code, out, err, namespace
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=" ".join)
+def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = parse_outcome(cli.build_parser(), argv, capsys)
+    command = argv[0] if argv and argv[0] in cli.COMMANDS else None
+    assert parse_outcome(cli.build_parser(command), argv, capsys) == full
+
+
+def test_main_builds_only_the_invoked_command(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return real(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert cli.main(("table", "triangle", "2")) == 0
+    with pytest.raises(SystemExit):
+        cli.main(["sol"])
+    assert built == ["table", None]
+
+
+def test_full_parser_errors_name_the_command_argument(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = "usage: coinflip [-h] {solve,table,render,verify,analyze} ...\n"
+    for argv, message in (
+        ([], "the following arguments are required: command\n"),
+        (["sol"], "argument command: invalid choice: "),
+    ):
+        code, _, err, _ = parse_outcome(cli.build_parser(), argv, capsys)
+        assert code == 2
+        assert err.startswith(f"{usage}coinflip: error: {message}")

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from coinflip import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -34,3 +36,14 @@ def test_module_exit_code_for_usage_errors():
 def test_cli_import_leaves_numpy_out():
     out = python("-c", "import sys, coinflip.cli; print('numpy' in sys.modules)")
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [[], ["solve", "triangle", "4", "extra"]], ids=" ".join)
+def test_module_usage_errors_match_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr().err
+    out = python("-m", "coinflip", *argv)
+    assert out.returncode == 2
+    assert out.stderr == expected

@@ -2,7 +2,14 @@ from hypothesis import given, settings, strategies as st
 
 from coinflip.lattice import Coord, FlipKind
 from coinflip.oracle import solve, target_set
-from coinflip.render import ASCII_GLYPHS, ascii_diagram, classify_cells, svg_diagram
+from coinflip.render import (
+    ASCII_GLYPHS,
+    MAX_ASCII_CHARS,
+    ascii_diagram,
+    ascii_extent,
+    classify_cells,
+    svg_diagram,
+)
 from coinflip.shapes import hexagon, triangle_up
 
 point_sets = st.frozensets(
@@ -66,6 +73,35 @@ def test_ascii_glyph_counts_match_solution(points, flip):
     assert art.count(ASCII_GLYPHS["stay"]) == result.max_overlap
     assert art.count(ASCII_GLYPHS["source"]) == result.min_moves
     assert art.count(ASCII_GLYPHS["target"]) == result.min_moves
+
+
+@given(point_sets, st.sampled_from(list(FlipKind)))
+@settings(max_examples=40, deadline=None)
+def test_ascii_glyphs_sit_at_their_cells(points, flip):
+    _, target = best_target(points, flip)
+    cells = classify_cells(points, target)
+    lines = ascii_diagram(points, target).split("\n")
+    assert (len(lines), max(map(len, lines))) == ascii_extent(points, target)
+    b_hi = max(b for _, b in cells)
+    min_col = min(2 * a + b for a, b in cells)
+    kind_of = {glyph: kind for kind, glyph in ASCII_GLYPHS.items()}
+    drawn = {}
+    for i, line in enumerate(lines):
+        b = b_hi - i
+        for col, glyph in enumerate(line):
+            if glyph != " ":
+                assert (col + min_col - b) % 2 == 0
+                drawn[Coord((col + min_col - b) // 2, b)] = kind_of[glyph]
+    assert drawn == cells
+
+
+def test_far_flung_ascii_extent_is_computed_not_drawn():
+    # only the estimate runs: the grid itself would be 2^40 lines long
+    start = frozenset({Coord(0, 0), Coord(2**40, 2**40)})
+    _, target = best_target(start, FlipKind.ROTATE_180)
+    lines, columns = ascii_extent(start, target)
+    assert (lines, columns) == (2**40 + 1, 3 * 2**40 + 1)
+    assert lines * columns > MAX_ASCII_CHARS
 
 
 def test_svg_structure():
