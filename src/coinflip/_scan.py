@@ -30,6 +30,7 @@ triangle and rhombus families have grids far smaller than their pair
 counts; far-flung or sparse shapes do not, and stay on the Counter.
 """
 
+import math
 import sys
 from array import array
 from bisect import bisect_left
@@ -50,6 +51,12 @@ _KARATSUBA_EXPONENT = 1.585
 
 # The product kernel never builds a grid beyond this many bytes.
 MAX_GRID_BYTES = 16 << 20
+
+# scan_pairs refuses a scan estimated to take longer than this. The product
+# kernel at MAX_GRID_BYTES is estimated at about 90 s, so only the Counter,
+# on more than about 1.5e9 pairs, can exceed it: a dense shape past the
+# byte cap (a triangle of 1025 rows or more) or a 40k-coin sparse one.
+MAX_SCAN_NS = 600 * 10**9
 
 _TYPECODES = {1: "B", 2: "H", 4: "I"}
 
@@ -146,17 +153,37 @@ class Shifts(Sequence):
         return f"Shifts({list(self)!r})"
 
 
-def prefers_product(grid: Grid, pairs: int) -> bool:
-    """True when the product kernel is estimated cheaper than the Counter
-    on `pairs` point pairs, and its grid fits within MAX_GRID_BYTES."""
+def _product_ns(grid: Grid) -> float:
+    """Estimated product-kernel time; infinite beyond MAX_GRID_BYTES."""
     grid_bytes = grid.cells * grid.cell_bytes
     if grid_bytes > MAX_GRID_BYTES:
-        return False
-    product_ns = (
+        return math.inf
+    return (
         _NS_PER_CELL * grid.cells
         + _NS_PER_KARATSUBA_BYTE * grid_bytes**_KARATSUBA_EXPONENT
     )
-    return product_ns <= _NS_PER_PAIR * pairs
+
+
+def prefers_product(grid: Grid, pairs: int) -> bool:
+    """True when the product kernel is estimated cheaper than the Counter
+    on `pairs` point pairs, and its grid fits within MAX_GRID_BYTES."""
+    return _product_ns(grid) <= _NS_PER_PAIR * pairs
+
+
+def estimate_ns(grid: Grid, pairs: int) -> float:
+    """Estimated time of the kernel scan_pairs picks: the cheaper one."""
+    return min(_product_ns(grid), _NS_PER_PAIR * pairs)
+
+
+class ScanBudgetError(ValueError):
+    """A scan estimated to exceed MAX_SCAN_NS, refused before it starts."""
+
+    def __init__(self, estimate_ns: float, pairs: int):
+        self.estimate_ns, self.pairs = estimate_ns, pairs
+        super().__init__(
+            f"the translation scan would take about {estimate_ns / 1e9:.3g} s "
+            f"({pairs} coin pairs), over the budget of {MAX_SCAN_NS / 1e9:.0f} s"
+        )
 
 
 def counter_scan(start, flipped, grid=None):
@@ -218,11 +245,17 @@ def scan_pairs(start, flipped):
     Both arguments are sequences of (a, b) integer pairs. Returns
     (max_overlap, shifts) where shifts is a `Shifts` of every (da, db)
     achieving the maximum, ascending. The kernel is chosen by
-    `prefers_product`; both give the same answer.
+    `prefers_product`; both give the same answer. Raises ScanBudgetError,
+    before either kernel allocates anything, when `estimate_ns` is over
+    MAX_SCAN_NS.
     """
     if not start or not flipped:
         raise ValueError("scan_pairs requires nonempty point lists")
     grid = grid_of(start, flipped)
-    if prefers_product(grid, len(start) * len(flipped)):
+    pairs = len(start) * len(flipped)
+    cost = estimate_ns(grid, pairs)
+    if cost > MAX_SCAN_NS:
+        raise ScanBudgetError(cost, pairs)
+    if prefers_product(grid, pairs):
         return product_scan(start, flipped, grid)
     return counter_scan(start, flipped, grid)

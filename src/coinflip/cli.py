@@ -1,6 +1,7 @@
 """coinflip command line: solve, table, render, verify, analyze.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error, or
+a scan refused as over budget (see coinflip._scan.MAX_SCAN_NS).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import sys
 from dataclasses import dataclass
 
 from coinflip import formulas, oracle, render, shapes
+from coinflip._scan import ScanBudgetError
 from coinflip.lattice import FlipKind, classify_triangle, connected_components
 
 FLIP_NAMES = {f.value: f for f in FlipKind}
@@ -427,7 +429,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except ScanBudgetError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

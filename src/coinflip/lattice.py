@@ -4,13 +4,23 @@ Coordinates are axial: a coin at (a, b) sits at a*(1, 0) + b*(1/2, sqrt3/2)
 in the plane, so two coins of diameter 1 touch exactly when their squared
 distance a*a + a*b + b*b equals 1. Everything here is exact integer
 arithmetic; the float embedding exists only for drawing.
+
+A coin is a `Coord`, built once where it enters the program (a shape
+generator or the shape-file parser). Public functions accept any iterable
+of (a, b) pairs: a frozenset of Coord is used as it is, anything else is
+converted once by `as_coin_set`. Every coin they return is a Coord. Work
+that never leaves a function (a flipped image fed to the scan, neighbour
+probes) uses plain tuples, which hash and compare like Coords at a
+fraction of the cost to build.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional
+from functools import partial
+from operator import add
+from typing import NamedTuple, Optional
 
 
 class Coord(NamedTuple):
@@ -19,6 +29,21 @@ class Coord(NamedTuple):
 
 
 CoinSet = frozenset  # frozenset[Coord]
+
+# Coord from an (a, b) tuple through the C tuple constructor: the same value
+# as Coord(a, b) at about half the cost of its generated Python __new__.
+_coord = partial(tuple.__new__, Coord)
+
+_COORD_ONLY = {Coord}
+
+
+def as_coin_set(coins) -> CoinSet:
+    """`coins` as a frozenset of Coord: itself when it already is one,
+    else converted once."""
+    if type(coins) is frozenset and set(map(type, coins)) <= _COORD_ONLY:
+        return coins
+    return frozenset(Coord(a, b) for a, b in coins)
+
 
 #: Offsets of the six unit-distance neighbors.
 NEIGHBOR_OFFSETS = (
@@ -33,24 +58,6 @@ NEIGHBOR_OFFSETS = (
 SQRT3 = math.sqrt(3.0)
 
 
-def rotate180(c) -> Coord:
-    """Point reflection through the origin."""
-    a, b = c
-    return Coord(-a, -b)
-
-
-def mirror_horizontal(c) -> Coord:
-    """Reflect across the vertical axis: embedded x negated, y kept."""
-    a, b = c
-    return Coord(-a - b, b)
-
-
-def mirror_vertical(c) -> Coord:
-    """Reflect across the horizontal axis: embedded y negated, x kept."""
-    a, b = c
-    return Coord(a + b, -b)
-
-
 class FlipKind(Enum):
     """Orientation change the puzzle asks for. Values are the CLI names."""
 
@@ -59,19 +66,50 @@ class FlipKind(Enum):
     MIRROR_VERTICAL = "mirror-v"
 
     def apply(self, c) -> Coord:
-        return _FLIP_FUNCS[self](c)
+        p, q, r, s = _FLIP_MATRICES[self]
+        a, b = c
+        return Coord(p * a + q * b, r * a + s * b)
 
 
-_FLIP_FUNCS = {
-    FlipKind.ROTATE_180: rotate180,
-    FlipKind.MIRROR_HORIZONTAL: mirror_horizontal,
-    FlipKind.MIRROR_VERTICAL: mirror_vertical,
+# Every flip is linear, (a, b) -> (p*a + q*b, r*a + s*b). This table, as
+# (p, q, r, s), is the one description of each flip.
+_FLIP_MATRICES = {
+    FlipKind.ROTATE_180: (-1, 0, 0, -1),
+    FlipKind.MIRROR_HORIZONTAL: (-1, -1, 0, 1),
+    FlipKind.MIRROR_VERTICAL: (1, 1, 0, -1),
 }
 
 
+def rotate180(c) -> Coord:
+    """Point reflection through the origin."""
+    return FlipKind.ROTATE_180.apply(c)
+
+
+def mirror_horizontal(c) -> Coord:
+    """Reflect across the vertical axis: embedded x negated, y kept."""
+    return FlipKind.MIRROR_HORIZONTAL.apply(c)
+
+
+def mirror_vertical(c) -> Coord:
+    """Reflect across the horizontal axis: embedded y negated, x kept."""
+    return FlipKind.MIRROR_VERTICAL.apply(c)
+
+
+def flip_points(coins, flip: FlipKind, shift=(0, 0)) -> list[tuple[int, int]]:
+    """The image of `coins` under `flip`, then `shift`, as plain tuples."""
+    p, q, r, s = _FLIP_MATRICES[flip]
+    da, db = shift
+    return [(p * a + q * b + da, r * a + s * b + db) for a, b in coins]
+
+
+def flip_translate(coins, flip: FlipKind, shift) -> CoinSet:
+    """translate(flip_set(coins, flip), shift), in one pass."""
+    return frozenset(map(_coord, flip_points(coins, flip, shift)))
+
+
 def flip_set(coins, flip: FlipKind) -> CoinSet:
-    f = _FLIP_FUNCS[flip]
-    return frozenset(f(c) for c in coins)
+    """The image of `coins` under `flip`."""
+    return flip_translate(coins, flip, (0, 0))
 
 
 def translate(coins, shift) -> CoinSet:
@@ -101,25 +139,25 @@ def connected_components(coins) -> list[CoinSet]:
     """Partition into maximal touching clusters.
 
     Components come back ordered by their lexicographically smallest
-    member, so reports are deterministic.
+    member, so reports are deterministic. Seeds are taken in sorted
+    order, so each component's seed is its smallest coin and no final
+    sort is needed: O(n log n) in all. Neighbour probes are plain tuples;
+    a hit pops the stored coin, so every coin returned is an input Coord.
     """
-    remaining = set(coins)
+    coins = as_coin_set(coins)
+    unvisited = dict(zip(coins, coins))
+    pop = unvisited.pop
     components = []
-    while remaining:
-        seed = min(remaining)
-        remaining.discard(seed)
-        component = {seed}
-        stack = [seed]
-        while stack:
-            a, b = stack.pop()
+    for seed in sorted(coins):
+        if pop(seed, None) is None:
+            continue
+        component = [seed]
+        for a, b in component:  # the list grows as the search reaches coins
             for da, db in NEIGHBOR_OFFSETS:
-                q = Coord(a + da, b + db)
-                if q in remaining:
-                    remaining.discard(q)
-                    component.add(q)
-                    stack.append(q)
+                c = pop((a + da, b + db), None)
+                if c is not None:
+                    component.append(c)
         components.append(frozenset(component))
-    components.sort(key=min)
     return components
 
 
@@ -139,24 +177,21 @@ def classify_triangle(component) -> Optional[tuple[str, int]]:
     for a translate of its 180-degree image, else None. A single coin is
     both; it reports as ("up", 1).
     """
-    coins = frozenset(Coord(a, b) for a, b in component)
+    coins = as_coin_set(component)
     if not coins:
         raise ValueError("cannot classify an empty component")
     k = triangle_number_index(len(coins))
     if k is None:
         return None
-    a0 = min(a for a, _ in coins)
-    b0 = min(b for _, b in coins)
-    up = frozenset(
-        Coord(a0 + i, b0 + j) for j in range(k) for i in range(k - j)
-    )
-    if coins == up:
+    # k(k+1)/2 distinct coins equal a k-row template exactly when they lie
+    # inside it. With (a0, b0) the least and (a1, b1) the greatest
+    # coordinates, every coin has a >= a0 and b >= b0, so the coins fill
+    # the up template iff every a + b <= a0 + b0 + k - 1, and the down
+    # template iff every a + b >= a1 + b1 - (k - 1). No template is built.
+    a_s, b_s = zip(*coins)
+    sums = list(map(add, a_s, b_s))
+    if max(sums) <= min(a_s) + min(b_s) + k - 1:
         return ("up", k)
-    a1 = max(a for a, _ in coins)
-    b1 = max(b for _, b in coins)
-    down = frozenset(
-        Coord(a1 - i, b1 - j) for j in range(k) for i in range(k - j)
-    )
-    if coins == down:
+    if min(sums) >= max(a_s) + max(b_s) - k + 1:
         return ("down", k)
     return None

@@ -18,6 +18,13 @@ are ascending (da, db); the product kernel's grid has one row of H cells
 per da, and a cell's index is its key. A far-flung shape can tie hundreds
 of thousands of shifts, so solve() keeps the sorted keys and
 `Placements` decodes a placement only when it is read.
+
+Coin inputs may be any iterable of (a, b) pairs. A frozenset of Coord,
+as the shape generators and the shape-file parser return it, is used as
+it is; anything else is converted once (lattice.as_coin_set). The
+flipped image handed to the scan is a list of plain tuples, and every
+coin returned (in target_set, Component.coins, MovePlan.moves) is a
+Coord.
 """
 
 from __future__ import annotations
@@ -32,10 +39,11 @@ from coinflip import _scan
 from coinflip.lattice import (
     Coord,
     FlipKind,
+    as_coin_set,
     classify_triangle,
     connected_components,
-    flip_set,
-    translate,
+    flip_points,
+    flip_translate,
 )
 
 
@@ -130,16 +138,17 @@ class MovePlan:
     moves: tuple[tuple[Coord, Coord], ...]
 
     def apply(self, start) -> frozenset:
+        start = as_coin_set(start)
         froms = frozenset(m[0] for m in self.moves)
         tos = frozenset(m[1] for m in self.moves)
-        if not froms <= frozenset(start):
+        if not froms <= start:
             raise ValueError("plan does not apply: missing source coins")
-        return (frozenset(start) - froms) | tos
+        return (start - froms) | tos
 
 
 def target_set(start, placement: Placement) -> frozenset:
     """The flipped-and-shifted image the placement superimposes on start."""
-    return translate(flip_set(start, placement.flip), placement.shift)
+    return flip_translate(start, placement.flip, placement.shift)
 
 
 def solve(start, flip: FlipKind) -> OverlapResult:
@@ -149,12 +158,10 @@ def solve(start, flip: FlipKind) -> OverlapResult:
     reported maximum is exact and optimal_placements holds all maximizing
     shifts in ascending (da, db) order, as a lazy read-only sequence.
     """
-    start = frozenset(Coord(a, b) for a, b in start)
+    start = as_coin_set(start)
     if not start:
         raise ValueError("cannot solve an empty coin set")
-    start_pts = list(start)
-    flipped_pts = [flip.apply(c) for c in start_pts]
-    best, shifts = _scan.scan_pairs(start_pts, flipped_pts)
+    best, shifts = _scan.scan_pairs(list(start), flip_points(start, flip))
     return OverlapResult(
         total_coins=len(start),
         max_overlap=best,
@@ -206,7 +213,7 @@ def protrusions(
     Pass the OverlapResult from solve() to skip re-solving; the placement
     is rejected if it is not one of the optimal ones.
     """
-    start = frozenset(Coord(a, b) for a, b in start)
+    start = as_coin_set(start)
     _require_optimal(start, placement, result)
     target = target_set(start, placement)
     source_components = _as_components(start - target)
@@ -236,7 +243,7 @@ def move_plan(
     Sources and destinations are paired in lexicographic order; any
     pairing costs the same number of moves, this one is just canonical.
     """
-    start = frozenset(Coord(a, b) for a, b in start)
+    start = as_coin_set(start)
     _require_optimal(start, placement, result)
     target = target_set(start, placement)
     froms = sorted(start - target)

@@ -7,7 +7,7 @@ with three marks: coins that stay (overlap), coins that must move out
 
 from __future__ import annotations
 
-from coinflip.lattice import Coord, embed
+from coinflip.lattice import Coord, as_coin_set, embed
 
 ASCII_GLYPHS = {"stay": "O", "source": ".", "target": "*"}
 
@@ -15,16 +15,9 @@ ASCII_LEGEND = "legend: O = stays put   . = must move   * = destination"
 
 
 def classify_cells(start, target) -> dict[Coord, str]:
-    start = frozenset(Coord(a, b) for a, b in start)
-    target = frozenset(Coord(a, b) for a, b in target)
-    cells = {}
-    for c in start | target:
-        if c in start and c in target:
-            cells[c] = "stay"
-        elif c in start:
-            cells[c] = "source"
-        else:
-            cells[c] = "target"
+    cells = dict.fromkeys(as_coin_set(start), "source")
+    for c in as_coin_set(target):
+        cells[c] = "stay" if c in cells else "target"
     return cells
 
 
