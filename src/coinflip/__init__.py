@@ -7,9 +7,7 @@ the closed-form move-count formulas against that oracle.
 """
 
 from coinflip.formulas import (
-    DivisionWitness,
-    RhombusDecomposition,
-    TriangleDecomposition,
+    Decomposition,
     rhombus_moves_new,
     rhombus_moves_old,
     rhombus_moves_polynomial,
@@ -26,10 +24,6 @@ from coinflip.lattice import (
     connected_components,
     distance_sq,
     flip_set,
-    mirror_horizontal,
-    mirror_vertical,
-    neighbors,
-    rotate180,
     translate,
 )
 from coinflip.oracle import (
@@ -57,16 +51,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Coord",
-    "DivisionWitness",
+    "Decomposition",
     "FlipKind",
     "MovePlan",
     "OverlapResult",
     "Placement",
     "ProtrusionReport",
-    "RhombusDecomposition",
     "ShapeFormatError",
     "ShapeSpec",
-    "TriangleDecomposition",
     "backend",
     "classify_triangle",
     "connected_components",
@@ -74,16 +66,12 @@ __all__ = [
     "flip_set",
     "hexagon",
     "load_custom",
-    "mirror_horizontal",
-    "mirror_vertical",
     "move_plan",
-    "neighbors",
     "protrusions",
     "rhombus",
     "rhombus_moves_new",
     "rhombus_moves_old",
     "rhombus_moves_polynomial",
-    "rotate180",
     "serialize",
     "solve",
     "target_set",

@@ -8,26 +8,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from coinflip import formulas, oracle, render, shapes
 from coinflip._scan import ScanBudgetError
 from coinflip.lattice import FlipKind, classify_triangle, connected_components
 
 FLIP_NAMES = {f.value: f for f in FlipKind}
+PUZZLES = {name: f for name, f in shapes.FAMILIES.items() if f.is_puzzle}
 
 
 # -- tables -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TableRow:
-    rows: int
-    total_coins: int
-    old_formula: str
-    moves: int
-    increment: int | None  # None on the first row
-    decomposition: str
 
 
 def exact_div_text(numerator: int, divisor: int, max_digits: int = 10) -> str:
@@ -47,82 +38,46 @@ def exact_div_text(numerator: int, divisor: int, max_digits: int = 10) -> str:
     return f"{q}." + "".join(digits)
 
 
-def triangle_table(max_rows: int) -> list[TableRow]:
-    out = []
-    prev_moves = None
+def table_columns(family: shapes.Family) -> tuple[str, ...]:
+    increment = ("increment",) if family.increments else ()
+    return ("rows", "total_coins", family.old_column, "moves", *increment, "decomposition")
+
+
+TRIANGLE_COLUMNS = table_columns(shapes.FAMILIES["triangle"])
+
+
+def table_fields(family: shapes.Family, max_rows: int, verbose: bool) -> Iterator[list[str]]:
+    """The column texts of each row of a puzzle family's move-count table."""
+    moves_new = family.formula("new")
+    prev = None
     for n in range(1, max_rows + 1):
-        dec = formulas.triangle_moves_new(n)
-        out.append(
-            TableRow(
-                rows=n,
-                total_coins=formulas.triangular(n),
-                old_formula=exact_div_text(formulas.triangular(n), 3),
-                moves=dec.moves,
-                increment=None if prev_moves is None else dec.moves - prev_moves,
-                decomposition=dec.text(),
-            )
-        )
-        prev_moves = dec.moves
-    return out
+        dec = moves_new(n)
+        coins = family.coin_count(n)
+        fields = [str(n), str(coins), exact_div_text(coins, family.divisor), str(dec.moves)]
+        if family.increments:
+            if prev is None:
+                fields.append("")
+            elif verbose:
+                fields.append(f"{dec.moves} - {prev} = {dec.moves - prev}")
+            else:
+                fields.append(str(dec.moves - prev))
+        fields.append(dec.text())
+        prev = dec.moves
+        yield fields
 
 
-def rhombus_table(max_rows: int) -> list[TableRow]:
-    out = []
-    for n in range(1, max_rows + 1):
-        dec = formulas.rhombus_moves_new(n)
-        out.append(
-            TableRow(
-                rows=n,
-                total_coins=n * n,
-                old_formula=exact_div_text(n * n, 4),
-                moves=dec.moves,
-                increment=None,
-                decomposition=dec.text(),
-            )
-        )
-    return out
-
-
-def _increment_text(row: TableRow, verbose: bool) -> str:
-    if row.increment is None:
-        return ""
-    if verbose:
-        prev = row.moves - row.increment
-        return f"{row.moves} - {prev} = {row.increment}"
-    return str(row.increment)
-
-
-TRIANGLE_COLUMNS = ("rows", "total_coins", "old_formula", "moves", "increment", "decomposition")
-RHOMBUS_COLUMNS = ("rows", "total_coins", "coins_div_4", "moves", "decomposition")
-
-
-def _row_fields(family: str, row: TableRow, verbose: bool) -> list[str]:
-    fields = [str(row.rows), str(row.total_coins), row.old_formula, str(row.moves)]
-    if family == "triangle":
-        fields.append(_increment_text(row, verbose))
-    fields.append(row.decomposition)
-    return fields
-
-
-def format_table_csv(family: str, table: list[TableRow], verbose: bool = False) -> str:
-    header = TRIANGLE_COLUMNS if family == "triangle" else RHOMBUS_COLUMNS
-    lines = [",".join(header)]
-    for row in table:
-        fields = _row_fields(family, row, verbose)
+def format_table_csv(header: tuple[str, ...], rows: Iterable[list[str]]) -> Iterator[str]:
+    yield ",".join(header) + "\n"
+    for fields in rows:
         fields[-1] = f'"{fields[-1]}"'  # decomposition contains spaces
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+        yield ",".join(fields) + "\n"
 
 
-def format_table_markdown(family: str, table: list[TableRow], verbose: bool = False) -> str:
-    header = TRIANGLE_COLUMNS if family == "triangle" else RHOMBUS_COLUMNS
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "|".join(" ---: " if c != "decomposition" else " :--- " for c in header) + "|",
-    ]
-    for row in table:
-        lines.append("| " + " | ".join(_row_fields(family, row, verbose)) + " |")
-    return "\n".join(lines) + "\n"
+def format_table_markdown(header: tuple[str, ...], rows: Iterable[list[str]]) -> Iterator[str]:
+    yield "| " + " | ".join(header) + " |\n"
+    yield "|" + "|".join(" ---: " if c != "decomposition" else " :--- " for c in header) + "|\n"
+    for fields in rows:
+        yield "| " + " | ".join(fields) + " |\n"
 
 
 # -- shape resolution ---------------------------------------------------------
@@ -132,7 +87,7 @@ def _add_shape_args(sub: argparse.ArgumentParser):
     sub.add_argument(
         "shape",
         nargs="?",
-        choices=["triangle", "rhombus", "hexagon", "custom"],
+        choices=[*shapes.FAMILIES, "custom"],
         help="shape family (or 'custom' with --shape-file)",
     )
     sub.add_argument("size", nargs="?", type=int, help="rows (triangle/rhombus) or side (hexagon)")
@@ -204,12 +159,11 @@ def cmd_solve(args, parser) -> int:
 def cmd_table(args, parser) -> int:
     if args.max_rows < 1:
         parser.error("max_rows must be >= 1")
-    if args.family == "triangle":
-        table = triangle_table(args.max_rows)
-    else:
-        table = rhombus_table(args.max_rows)
+    family = PUZZLES[args.family]
     fmt = format_table_csv if args.format == "csv" else format_table_markdown
-    sys.stdout.write(fmt(args.family, table, verbose=args.verbose_diff))
+    # row by row, so memory stays flat however many rows are asked for
+    rows = table_fields(family, args.max_rows, args.verbose_diff)
+    sys.stdout.writelines(fmt(table_columns(family), rows))
     return 0
 
 
@@ -253,70 +207,45 @@ def _verify_fail(n: int, what: str, detail: str) -> int:
 
 
 def run_verify(max_rows: int) -> int:
-    """Formula-vs-oracle sweep; stops with a counterexample dump on mismatch."""
+    """Formula-vs-oracle sweep over the puzzle families; stops with a
+    counterexample dump on mismatch."""
     for n in range(1, max_rows + 1):
-        t_new = formulas.triangle_moves_new(n)
-        t_old = formulas.triangle_moves_old(n)
-        t_poly = formulas.triangle_moves_polynomial(n)
-        if not (t_old == t_new.moves == t_poly):
-            return _verify_fail(
-                n, "triangle formulas disagree",
-                f"  old={t_old} new={t_new.moves} polynomial={t_poly}",
-            )
-        tri = shapes.triangle_up(n)
-        t_res = oracle.solve(tri, FlipKind.ROTATE_180)
-        if t_res.min_moves != t_new.moves:
-            return _verify_fail(
-                n, "triangle oracle disagrees with formulas",
-                f"  oracle={t_res.min_moves} formulas={t_new.moves} "
-                f"placements={[p.shift for p in t_res.optimal_placements]}",
-            )
-        for placement in t_res.optimal_placements:
-            rep = oracle.protrusions(tri, placement, expected_parts=3, result=t_res)
-            bad = [c for c in rep.source_components if c.triangle is None]
-            src = _component_sizes(rep.source_components)
-            tgt = _component_sizes(rep.target_components)
-            if bad or rep.size_multiset != t_new.parts or src != tgt:
+        done = []
+        for family in PUZZLES.values():
+            name = family.name
+            new = family.formula("new")(n)
+            old = family.formula("old")(n)
+            poly = family.formula("polynomial")(n)
+            if not (old == new.moves == poly):
                 return _verify_fail(
-                    n, f"triangle protrusions at shift {placement.shift}",
-                    f"  sizes={rep.size_multiset} expected={t_new.parts} "
-                    f"source={src} target={tgt} non-triangles={len(bad)}",
+                    n, f"{name} formulas disagree",
+                    f"  old={old} new={new.moves} polynomial={poly}",
                 )
-
-        r_new = formulas.rhombus_moves_new(n)
-        r_old = formulas.rhombus_moves_old(n)
-        r_poly = formulas.rhombus_moves_polynomial(n)
-        if not (r_old == r_new.moves == r_poly):
-            return _verify_fail(
-                n, "rhombus formulas disagree",
-                f"  old={r_old} new={r_new.moves} polynomial={r_poly}",
-            )
-        rho = shapes.rhombus(n)
-        r_h = oracle.solve(rho, FlipKind.MIRROR_HORIZONTAL)
-        r_v = oracle.solve(rho, FlipKind.MIRROR_VERTICAL)
-        if not (r_h.min_moves == r_v.min_moves == r_new.moves):
-            return _verify_fail(
-                n, "rhombus oracle disagrees",
-                f"  mirror-h={r_h.min_moves} mirror-v={r_v.min_moves} "
-                f"formulas={r_new.moves}",
-            )
-        for placement in r_h.optimal_placements:
-            rep = oracle.protrusions(rho, placement, expected_parts=2, result=r_h)
-            bad = [c for c in rep.source_components if c.triangle is None]
-            src = _component_sizes(rep.source_components)
-            tgt = _component_sizes(rep.target_components)
-            if bad or rep.size_multiset != r_new.parts or src != tgt:
+            coins = shapes.build(shapes.ShapeSpec(name, n))
+            flips = (family.default_flip, *family.cross_check_flips)
+            results = [oracle.solve(coins, flip) for flip in flips]
+            if any(r.min_moves != new.moves for r in results):
+                found = " ".join(f"{f.value}={r.min_moves}" for f, r in zip(flips, results))
                 return _verify_fail(
-                    n, f"rhombus protrusions at shift {placement.shift}",
-                    f"  sizes={rep.size_multiset} expected={r_new.parts} "
-                    f"source={src} target={tgt} non-triangles={len(bad)}",
+                    n, f"{name} oracle disagrees with formulas",
+                    f"  {found} formulas={new.moves}",
                 )
-        print(
-            f"rows {n}: triangle {t_new.moves} moves "
-            f"({len(t_res.optimal_placements)} placements), "
-            f"rhombus {r_new.moves} moves "
-            f"({len(r_h.optimal_placements)} placements) ok"
-        )
+            result = results[0]
+            for placement in result.optimal_placements:
+                rep = oracle.protrusions(
+                    coins, placement, expected_parts=family.protrusion_arity, result=result
+                )
+                bad = [c for c in rep.source_components if c.triangle is None]
+                src = _component_sizes(rep.source_components)
+                tgt = _component_sizes(rep.target_components)
+                if bad or rep.size_multiset != new.parts or src != tgt:
+                    return _verify_fail(
+                        n, f"{name} protrusions at shift {placement.shift}",
+                        f"  sizes={rep.size_multiset} expected={new.parts} "
+                        f"source={src} target={tgt} non-triangles={len(bad)}",
+                    )
+            done.append(f"{name} {new.moves} moves ({len(result.optimal_placements)} placements)")
+        print(f"rows {n}: {', '.join(done)} ok")
     print(f"verified rows 1..{max_rows}: formulas and oracle agree")
     return 0
 
@@ -364,7 +293,7 @@ def _solve_arguments(sub: argparse.ArgumentParser):
 
 
 def _table_arguments(sub: argparse.ArgumentParser):
-    sub.add_argument("family", choices=["triangle", "rhombus"])
+    sub.add_argument("family", choices=list(PUZZLES))
     sub.add_argument("max_rows", type=int)
     sub.add_argument("--format", choices=["markdown", "csv"], default="markdown")
     sub.add_argument(

@@ -33,23 +33,11 @@ class DivisionWitness:
 
 
 @dataclass(frozen=True)
-class TriangleDecomposition:
-    """Three triangular numbers (descending, zeros allowed) summing to the
-    move count."""
+class Decomposition:
+    """Triangular numbers (descending, zeros allowed) summing to the move
+    count: three for a triangle, two for a rhombus."""
 
-    parts: tuple[int, int, int]
-    moves: int
-
-    def text(self) -> str:
-        return " + ".join(str(p) for p in self.parts)
-
-
-@dataclass(frozen=True)
-class RhombusDecomposition:
-    """Two triangular numbers (descending, zeros allowed) summing to the
-    move count."""
-
-    parts: tuple[int, int]
+    parts: tuple[int, ...]
     moves: int
 
     def text(self) -> str:
@@ -82,7 +70,7 @@ def triangle_division(rows: int) -> DivisionWitness:
     return DivisionWitness(m=(rows - 1) // 3, p=rows % 3)
 
 
-def triangle_moves_new(rows: int) -> TriangleDecomposition:
+def triangle_moves_new(rows: int) -> Decomposition:
     """Move count as a sum of three triangular numbers."""
     w = triangle_division(rows)
     tm = triangular(w.m)
@@ -93,7 +81,7 @@ def triangle_moves_new(rows: int) -> TriangleDecomposition:
         parts = (tm1, tm, tm)
     else:
         parts = (tm1, tm1, tm)
-    return TriangleDecomposition(parts=parts, moves=sum(parts))
+    return Decomposition(parts=parts, moves=sum(parts))
 
 
 def triangle_moves_polynomial(rows: int) -> int:
@@ -136,14 +124,14 @@ def rhombus_division(rows: int) -> DivisionWitness:
     return DivisionWitness(m=rows // 2, p=rows % 2)
 
 
-def rhombus_moves_new(rows: int) -> RhombusDecomposition:
+def rhombus_moves_new(rows: int) -> Decomposition:
     """Move count as a sum of two triangular numbers."""
     w = rhombus_division(rows)
     if w.p == 1:
         parts = (triangular(w.m), triangular(w.m))
     else:
         parts = (triangular(w.m), triangular(w.m - 1))
-    return RhombusDecomposition(parts=parts, moves=sum(parts))
+    return Decomposition(parts=parts, moves=sum(parts))
 
 
 def rhombus_moves_polynomial(rows: int) -> int:

@@ -74,25 +74,10 @@ class FlipKind(Enum):
 # Every flip is linear, (a, b) -> (p*a + q*b, r*a + s*b). This table, as
 # (p, q, r, s), is the one description of each flip.
 _FLIP_MATRICES = {
-    FlipKind.ROTATE_180: (-1, 0, 0, -1),
-    FlipKind.MIRROR_HORIZONTAL: (-1, -1, 0, 1),
-    FlipKind.MIRROR_VERTICAL: (1, 1, 0, -1),
+    FlipKind.ROTATE_180: (-1, 0, 0, -1),  # point reflection through the origin
+    FlipKind.MIRROR_HORIZONTAL: (-1, -1, 0, 1),  # embedded x negated, y kept
+    FlipKind.MIRROR_VERTICAL: (1, 1, 0, -1),  # embedded y negated, x kept
 }
-
-
-def rotate180(c) -> Coord:
-    """Point reflection through the origin."""
-    return FlipKind.ROTATE_180.apply(c)
-
-
-def mirror_horizontal(c) -> Coord:
-    """Reflect across the vertical axis: embedded x negated, y kept."""
-    return FlipKind.MIRROR_HORIZONTAL.apply(c)
-
-
-def mirror_vertical(c) -> Coord:
-    """Reflect across the horizontal axis: embedded y negated, x kept."""
-    return FlipKind.MIRROR_VERTICAL.apply(c)
 
 
 def flip_points(coins, flip: FlipKind, shift=(0, 0)) -> list[tuple[int, int]]:
@@ -115,12 +100,6 @@ def flip_set(coins, flip: FlipKind) -> CoinSet:
 def translate(coins, shift) -> CoinSet:
     da, db = shift
     return frozenset(Coord(a + da, b + db) for a, b in coins)
-
-
-def neighbors(c) -> frozenset:
-    """The six lattice points at embedded distance exactly 1."""
-    a, b = c
-    return frozenset(Coord(a + da, b + db) for da, db in NEIGHBOR_OFFSETS)
 
 
 def distance_sq(c, d) -> int:

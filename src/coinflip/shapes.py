@@ -1,10 +1,13 @@
-"""Coin shape generators and the shape file format."""
+"""Coin shape generators, the table of generated families, and the shape
+file format."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
+from coinflip import formulas
 from coinflip.lattice import Coord, FlipKind
 
 # The shape-file integer grammar. int() alone would also take "1_0", "+3"
@@ -89,18 +92,82 @@ def serialize(coins) -> str:
 
 
 @dataclass(frozen=True)
-class ShapeSpec:
-    """A named shape request: generator family plus size, or a custom name."""
+class Family:
+    """One generated shape family: its shapes, the flip its puzzle asks
+    for, and, for the paper's two puzzles, the move-count formulas and
+    their table.
 
-    kind: str  # "triangle" | "rhombus" | "hexagon" | "custom"
+    The formulas are `coinflip.formulas.{name}_moves_{old,new,polynomial}`,
+    looked up when `formula` is called, so a patched module function is
+    the one used.
+    """
+
+    name: str
+    generator: Callable[[int], frozenset]
+    coin_count: Callable[[int], int]  # len(generator(n))
+    default_flip: FlipKind = FlipKind.ROTATE_180
+    # Puzzle families only (the rest keep these defaults):
+    protrusion_arity: int | None = None  # protruding triangles per solution
+    cross_check_flips: tuple[FlipKind, ...] = ()  # verify's other flips
+    divisor: int | None = None  # the old formula is coin_count // divisor
+    old_column: str = ""  # the table's name for coin_count / divisor
+    increments: bool = False  # the table shows each row's move increment
+
+    @property
+    def is_puzzle(self) -> bool:
+        """Whether the paper gives move-count formulas for this family."""
+        return self.divisor is not None
+
+    def formula(self, kind: str) -> Callable:
+        """The family's "old", "new" or "polynomial" move count."""
+        return getattr(formulas, f"{self.name}_moves_{kind}")
+
+
+FAMILIES = {
+    family.name: family
+    for family in (
+        Family(
+            "triangle",
+            triangle_up,
+            lambda n: formulas.triangular(n),
+            protrusion_arity=3,
+            divisor=3,
+            old_column="old_formula",
+            increments=True,
+        ),
+        Family(
+            "rhombus",
+            rhombus,
+            lambda n: n * n,
+            default_flip=FlipKind.MIRROR_HORIZONTAL,
+            protrusion_arity=2,
+            cross_check_flips=(FlipKind.MIRROR_VERTICAL,),
+            divisor=4,
+            old_column="coins_div_4",
+        ),
+        Family("hexagon", hexagon, lambda k: 3 * k * k - 3 * k + 1),
+    )
+}
+
+
+@dataclass(frozen=True)
+class ShapeSpec:
+    """A named shape request: a family of FAMILIES plus size, or "custom"
+    with an optional name."""
+
+    kind: str
     size: int = 0
     name: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("triangle", "rhombus", "hexagon", "custom"):
+        if self.family is None and self.kind != "custom":
             raise ValueError(f"unknown shape kind {self.kind!r}")
-        if self.kind != "custom" and self.size < 1:
+        if self.family and self.size < 1:
             raise ValueError(f"{self.kind} size must be >= 1, got {self.size}")
+
+    @property
+    def family(self) -> Family | None:
+        return FAMILIES.get(self.kind)
 
     def label(self) -> str:
         if self.kind == "custom":
@@ -110,13 +177,9 @@ class ShapeSpec:
 
 def build(spec: ShapeSpec) -> frozenset:
     """Generate the coin set for a non-custom spec."""
-    if spec.kind == "triangle":
-        return triangle_up(spec.size)
-    if spec.kind == "rhombus":
-        return rhombus(spec.size)
-    if spec.kind == "hexagon":
-        return hexagon(spec.size)
-    raise ValueError("custom shapes are loaded from a file, not generated")
+    if spec.family is None:
+        raise ValueError("custom shapes are loaded from a file, not generated")
+    return spec.family.generator(spec.size)
 
 
 def default_flip(spec: ShapeSpec) -> FlipKind:
@@ -125,15 +188,9 @@ def default_flip(spec: ShapeSpec) -> FlipKind:
     Triangles invert by 180-degree rotation; rhombi flip horizontally.
     Hexagons and custom shapes default to the rotation.
     """
-    if spec.kind == "rhombus":
-        return FlipKind.MIRROR_HORIZONTAL
-    return FlipKind.ROTATE_180
+    return spec.family.default_flip if spec.family else FlipKind.ROTATE_180
 
 
 def protrusion_arity(spec: ShapeSpec) -> int | None:
     """Expected protrusion count: 3 for triangles, 2 for rhombi, raw otherwise."""
-    if spec.kind == "triangle":
-        return 3
-    if spec.kind == "rhombus":
-        return 2
-    return None
+    return spec.family.protrusion_arity if spec.family else None

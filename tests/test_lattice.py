@@ -12,10 +12,6 @@ from coinflip.lattice import (
     distance_sq,
     embed,
     flip_set,
-    mirror_horizontal,
-    mirror_vertical,
-    neighbors,
-    rotate180,
     translate,
     triangle_number_index,
 )
@@ -30,10 +26,15 @@ point_sets = st.frozensets(
 )
 
 
+def neighbors(c) -> set:
+    """The six lattice points one NEIGHBOR_OFFSETS step from c."""
+    return {Coord(c[0] + da, c[1] + db) for da, db in NEIGHBOR_OFFSETS}
+
+
 def test_flip_images_of_sample_points():
-    assert rotate180(Coord(2, 1)) == Coord(-2, -1)
-    assert mirror_horizontal(Coord(2, 1)) == Coord(-3, 1)
-    assert mirror_vertical(Coord(2, 1)) == Coord(3, -1)
+    assert FlipKind.ROTATE_180.apply(Coord(2, 1)) == Coord(-2, -1)
+    assert FlipKind.MIRROR_HORIZONTAL.apply(Coord(2, 1)) == Coord(-3, 1)
+    assert FlipKind.MIRROR_VERTICAL.apply(Coord(2, 1)) == Coord(3, -1)
     # origin is fixed by every flip
     for kind in FlipKind:
         assert kind.apply(Coord(0, 0)) == Coord(0, 0)
@@ -43,9 +44,8 @@ def test_flips_are_involutions_on_grid():
     for a in range(-50, 51):
         for b in range(-50, 51):
             p = Coord(a, b)
-            assert rotate180(rotate180(p)) == p
-            assert mirror_horizontal(mirror_horizontal(p)) == p
-            assert mirror_vertical(mirror_vertical(p)) == p
+            for kind in FlipKind:
+                assert kind.apply(kind.apply(p)) == p
 
 
 @given(coords)
