@@ -7,8 +7,10 @@ translation reaches overlap >= 1, so the maximum over the difference set
 is the maximum over all translations. Two pure-Python kernels compute it
 exactly and return identical results:
 
-- `counter_scan`, the reference kernel: a Counter over the differences of
-  all |S|·|F| pairs. Its cost follows the pair count alone.
+- `counter_scan`, the reference kernel: Counters over the differences of
+  all |S|·|F| pairs, one ascending band of shift keys at a time, so that
+  it holds one band's counts plus the tied keys found so far. Its cost
+  follows the pair count alone.
 - `product_scan`: Kronecker substitution. Each point set becomes a 0/1
   grid packed into the digits of one big integer, and a single CPython
   multiplication yields the exact overlap at every shift of the
@@ -27,7 +29,10 @@ keeps the tied keys and decodes a shift only when it is read.
 `scan_pairs` reads both bounding boxes, estimates each kernel's cost
 (`prefers_product`) and runs the cheaper one. Dense shapes such as the
 triangle and rhombus families have grids far smaller than their pair
-counts; far-flung or sparse shapes do not, and stay on the Counter.
+counts; far-flung or sparse shapes do not, and stay on the Counter. It
+refuses, before either kernel allocates anything, a scan estimated to
+take longer than MAX_SCAN_NS, or a Counter scan whose keys could need
+more than MAX_SCAN_BYTES (`counter_bytes`).
 """
 
 import math
@@ -57,6 +62,21 @@ MAX_GRID_BYTES = 16 << 20
 # on more than about 1.5e9 pairs, can exceed it: a dense shape past the
 # byte cap (a triangle of 1025 rows or more) or a 40k-coin sparse one.
 MAX_SCAN_NS = 600 * 10**9
+
+# Memory of the Counter kernel per distinct key, measured with tracemalloc
+# on CPython 3.11: at most about 91 bytes for the key's dict entry, its
+# share of the hash table (held twice while the table grows) and its slot
+# in the tie list, plus the key's own int, 28 bytes up to 30 bits and 4
+# bytes more for each further 30 bits.
+_COUNTER_BYTES_PER_KEY = 96
+
+# scan_pairs refuses a Counter scan estimated to need more memory than
+# this. The product kernel's grid is capped far lower (MAX_GRID_BYTES).
+MAX_SCAN_BYTES = 2 << 30
+
+# counter_scan counts at most about this many pairs into one Counter at a
+# time, unless many pairs share a narrow range of keys (see counter_scan).
+BAND_PAIRS = 1 << 16
 
 _TYPECODES = {1: "B", 2: "H", 4: "I"}
 
@@ -175,31 +195,80 @@ def estimate_ns(grid: Grid, pairs: int) -> float:
     return min(_product_ns(grid), _NS_PER_PAIR * pairs)
 
 
-class ScanBudgetError(ValueError):
-    """A scan estimated to exceed MAX_SCAN_NS, refused before it starts."""
+def counter_bytes(grid: Grid, pairs: int) -> int:
+    """Estimated peak memory of the Counter kernel, in bytes.
 
-    def __init__(self, estimate_ns: float, pairs: int):
+    A scan holds at most min(pairs, grid.cells) distinct keys, each no
+    larger than grid.cells. Banding usually keeps far fewer alive at once
+    (see counter_scan), but a shape whose pairs crowd into one band, or
+    whose every key ties, holds them all.
+    """
+    key_bytes = _COUNTER_BYTES_PER_KEY + sys.getsizeof(grid.cells)
+    return min(pairs, grid.cells) * key_bytes
+
+
+class ScanBudgetError(ValueError):
+    """A scan estimated to exceed MAX_SCAN_NS, or MAX_SCAN_BYTES when
+    `estimate_bytes` is given, refused before it starts."""
+
+    def __init__(self, estimate_ns: float, pairs: int, estimate_bytes: int | None = None):
         self.estimate_ns, self.pairs = estimate_ns, pairs
-        super().__init__(
-            f"the translation scan would take about {estimate_ns / 1e9:.3g} s "
-            f"({pairs} coin pairs), over the budget of {MAX_SCAN_NS / 1e9:.0f} s"
-        )
+        self.estimate_bytes = estimate_bytes
+        if estimate_bytes is None:
+            cost = f"take about {estimate_ns / 1e9:.3g} s"
+            cap = f"the budget of {MAX_SCAN_NS / 1e9:.0f} s"
+        else:
+            cost = f"need about {estimate_bytes / 2**30:.3g} GiB of memory"
+            cap = f"the cap of {MAX_SCAN_BYTES / 2**30:.3g} GiB"
+        super().__init__(f"the translation scan would {cost} ({pairs} coin pairs), over {cap}")
 
 
 def counter_scan(start, flipped, grid=None):
-    """Reference kernel: count the shift key of every pair."""
+    """Reference kernel: count the shift key of every pair, one band of
+    keys at a time.
+
+    ks and kfs are the sorted start and flipped keys, so the pair keys lie
+    in [ks[0] + kfs[0], ks[-1] + kfs[-1]]. That range is cut into
+    ceil(pairs / BAND_PAIRS) equal bands [lo, hi), scanned in ascending
+    order; a scan of at most BAND_PAIRS pairs is one band. In a band, each
+    flipped key kf pairs with the start keys from lo - kf up to hi - kf, a
+    slice of ks found by bisection, and the band's pairs are counted in a
+    Counter of its own. A running best keeps the tied keys: a band's ties,
+    sorted, are appended when they equal the best and replace the list
+    when they beat it, so the keys come out ascending.
+
+    Memory is one band's distinct keys plus the ties, where a Counter of
+    every pair would hold all the distinct keys at once. Bands split key
+    space, not pairs: a shape whose pairs crowd into one band still holds
+    them all, as does a scan in which every key ties (see counter_bytes).
+    """
     g = grid or grid_of(start, flipped)
     width = g.width
     ks = sorted((a - g.start_a) * width + b - g.start_b for a, b in start)
     kfs = sorted((g.flipped_a - a) * width + g.flipped_b - b for a, b in flipped)
-    # Ascending rows enter new keys in ascending runs, which the final
-    # sort merges instead of sorting from scratch.
-    counts = Counter()
-    for kf in kfs:
-        counts.update(map(kf.__add__, ks))
-    best = max(counts.values())
-    keys = [k for k, c in counts.items() if c == best]
-    keys.sort()
+    first, end = ks[0] + kfs[0], ks[-1] + kfs[-1] + 1
+    bands = -(-len(ks) * len(kfs) // BAND_PAIRS)
+    step = -(-(end - first) // bands)
+    best, keys = 0, []
+    for lo in range(first, end, step):
+        hi = lo + step
+        counts = Counter()
+        for kf in kfs:
+            # one band takes every row whole: no bisects, no copies
+            row = ks if bands == 1 else ks[bisect_left(ks, lo - kf) : bisect_left(ks, hi - kf)]
+            counts.update(map(kf.__add__, row))
+        if not counts:
+            continue
+        top = max(counts.values())
+        if top >= best:
+            # Ascending rows enter new keys in ascending runs, which this
+            # sort merges instead of sorting from scratch.
+            ties = [k for k, c in counts.items() if c == top]
+            ties.sort()
+            if top > best:
+                best, keys = top, ties
+            else:
+                keys += ties
     return best, g.shifts(keys)
 
 
@@ -247,7 +316,8 @@ def scan_pairs(start, flipped):
     achieving the maximum, ascending. The kernel is chosen by
     `prefers_product`; both give the same answer. Raises ScanBudgetError,
     before either kernel allocates anything, when `estimate_ns` is over
-    MAX_SCAN_NS.
+    MAX_SCAN_NS or, for the Counter, `counter_bytes` is over
+    MAX_SCAN_BYTES. Time is checked first.
     """
     if not start or not flipped:
         raise ValueError("scan_pairs requires nonempty point lists")
@@ -258,4 +328,7 @@ def scan_pairs(start, flipped):
         raise ScanBudgetError(cost, pairs)
     if prefers_product(grid, pairs):
         return product_scan(start, flipped, grid)
+    memory = counter_bytes(grid, pairs)
+    if memory > MAX_SCAN_BYTES:
+        raise ScanBudgetError(cost, pairs, memory)
     return counter_scan(start, flipped, grid)

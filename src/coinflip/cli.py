@@ -1,7 +1,8 @@
 """coinflip command line: solve, table, render, verify, analyze.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error, or
-a scan refused as over budget (see coinflip._scan.MAX_SCAN_NS).
+a scan refused as over budget (see coinflip._scan.MAX_SCAN_NS and
+MAX_SCAN_BYTES).
 """
 
 from __future__ import annotations
@@ -30,12 +31,10 @@ def exact_div_text(numerator: int, divisor: int, max_digits: int = 10) -> str:
     q, r = divmod(numerator, divisor)
     if r == 0:
         return str(q)
-    digits = []
-    while r and len(digits) < max_digits:
-        r *= 10
-        d, r = divmod(r, divisor)
-        digits.append(str(d))
-    return f"{q}." + "".join(digits)
+    digits, rest = divmod(r * 10**max_digits, divisor)
+    text = str(digits).zfill(max_digits)
+    # a terminating expansion ends at its last nonzero digit
+    return f"{q}." + (text if rest else text.rstrip("0"))
 
 
 def table_columns(family: shapes.Family) -> tuple[str, ...]:
@@ -270,17 +269,21 @@ def cmd_analyze(args, parser) -> int:
         desc = f"{cls[0]} triangle, {cls[1]} rows" if cls else "not a triangle"
         print(f"  component {i}: {len(comp)} coins, {desc}")
     for flip in FlipKind:
-        result = oracle.solve(coins, flip)
-        report = oracle.protrusions(
-            coins, result.optimal_placements[0], result=result
-        )
-        print(
-            f"flip {flip.value}: {result.min_moves} moves, "
-            f"overlap {result.max_overlap}, "
-            f"{len(result.optimal_placements)} placements, "
-            f"protrusions {_multiset_text(report.size_multiset)}"
-        )
+        print(_flip_summary(coins, flip))
     return 0
+
+
+def _flip_summary(coins, flip: FlipKind) -> str:
+    """analyze's line for one flip. Its result, which can hold hundreds of
+    thousands of tied shifts, is freed on return, before the next solve."""
+    result = oracle.solve(coins, flip)
+    report = oracle.protrusions(coins, result.optimal_placements[0], result=result)
+    return (
+        f"flip {flip.value}: {result.min_moves} moves, "
+        f"overlap {result.max_overlap}, "
+        f"{len(result.optimal_placements)} placements, "
+        f"protrusions {_multiset_text(report.size_multiset)}"
+    )
 
 
 # -- entry point --------------------------------------------------------------

@@ -99,6 +99,30 @@ def test_table_streams_its_rows():
 # ------------------------------------------------------------------ verify
 
 
+def loop_div_text(numerator, divisor, max_digits=10):
+    """The digit-at-a-time long division that exact_div_text replaced."""
+    q, r = divmod(numerator, divisor)
+    if r == 0:
+        return str(q)
+    digits = []
+    while r and len(digits) < max_digits:
+        r *= 10
+        d, r = divmod(r, divisor)
+        digits.append(str(d))
+    return f"{q}." + "".join(digits)
+
+
+@pytest.mark.parametrize("max_digits", [1, 3, 10])
+def test_exact_div_text_matches_long_division(max_digits):
+    numerators = range(2000)
+    for divisor in range(1, 300):
+        cut = [max_digits] * len(numerators)
+        divisors = [divisor] * len(numerators)
+        assert list(map(cli.exact_div_text, numerators, divisors, cut)) == list(
+            map(loop_div_text, numerators, divisors, cut)
+        )
+
+
 def test_verify_prints_every_row(capsys):
     assert run(capsys, ["verify", "6"]) == (0, VERIFY_6)
 

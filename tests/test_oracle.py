@@ -1,9 +1,11 @@
 import random
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coinflip import _scan
 from coinflip._scan import (
     MAX_GRID_BYTES,
     Grid,
@@ -270,10 +272,24 @@ far_flung_sets = st.frozensets(
 @given(far_flung_sets, st.sampled_from(list(FlipKind)), st.data())
 @settings(max_examples=150, deadline=None)
 def test_far_flung_shapes_match_a_tuple_counter(points, flip, data):
+    check_against_a_tuple_counter(points, flip, data)
+
+
+@given(far_flung_sets, st.sampled_from(list(FlipKind)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_banded_counter_matches_a_tuple_counter(points, flip, data):
+    # 1 to 64 pairs per band: up to 900 bands on these shapes, where the
+    # default BAND_PAIRS always scans them in one
+    with patch.object(_scan, "BAND_PAIRS", data.draw(st.integers(1, 64))):
+        check_against_a_tuple_counter(points, flip, data)
+
+
+def check_against_a_tuple_counter(points, flip, data):
     start, flipped = scan_inputs(points, flip)
     counts = Counter((sa - fa, sb - fb) for sa, sb in start for fa, fb in flipped)
     best = max(counts.values())
     expected = sorted(t for t, c in counts.items() if c == best)
+    assert counter_scan(start, flipped) == (best, expected)
 
     overlap, shifts = scan_pairs(start, flipped)
     assert overlap == best
