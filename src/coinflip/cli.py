@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import Iterable, Iterator
 
-from coinflip import formulas, oracle, render, shapes
+from coinflip import formulas, oracle, shapes
 from coinflip._scan import ScanBudgetError
 from coinflip.lattice import FlipKind, classify_triangle, connected_components
 
@@ -167,6 +167,8 @@ def cmd_table(args, parser) -> int:
 
 
 def cmd_render(args, parser) -> int:
+    from coinflip import render  # only this command draws; the others skip loading it
+
     spec, coins = _resolve_shape(args, parser)
     flip = _resolve_flip(args, spec)
     result = oracle.solve(coins, flip)

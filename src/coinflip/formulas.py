@@ -14,7 +14,7 @@ is actually the minimum move count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def triangular(k: int) -> int:
@@ -24,16 +24,14 @@ def triangular(k: int) -> int:
     return k * (k + 1) // 2
 
 
-@dataclass(frozen=True)
-class DivisionWitness:
+class DivisionWitness(NamedTuple):
     """Quotient/remainder pair that picks a branch of the piecewise formulas."""
 
     m: int
     p: int
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Triangular numbers (descending, zeros allowed) summing to the move
     count: three for a triangle, two for a rhombus."""
 
@@ -41,7 +39,7 @@ class Decomposition:
     moves: int
 
     def text(self) -> str:
-        return " + ".join(str(p) for p in self.parts)
+        return " + ".join(map(str, self.parts))
 
 
 def _check_rows(rows: int):

@@ -30,9 +30,8 @@ Coord.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import islice
-from operator import eq
+from operator import attrgetter, eq
 from typing import NamedTuple, Optional
 
 from coinflip import _scan
@@ -106,16 +105,55 @@ class Placements(Sequence):
         return f"Placements({self.flip}, {list(self.shifts)!r})"
 
 
-@dataclass(frozen=True)
 class OverlapResult:
-    total_coins: int
-    max_overlap: int
-    min_moves: int
-    optimal_placements: Placements
+    """The exact answer for one flip: coins, best overlap, moves, and
+    every placement that reaches it.
+
+    A value record like the named tuples below, but a slotted class, so
+    that a result can be weakly referenced (a tuple cannot). Its fields
+    are read-only, it compares and hashes by value, and `_replace` makes
+    a changed copy.
+    """
+
+    _fields = ("total_coins", "max_overlap", "min_moves", "optimal_placements")
+    __slots__ = (*_fields, "__weakref__")
+
+    def __init__(self, total_coins: int, max_overlap: int, min_moves: int,
+                 optimal_placements: Placements):
+        init = object.__setattr__
+        init(self, "total_coins", total_coins)
+        init(self, "max_overlap", max_overlap)
+        init(self, "min_moves", min_moves)
+        init(self, "optimal_placements", optimal_placements)
+
+    _values = property(attrgetter(*_fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values))
+        return f"OverlapResult({pairs})"
+
+    def __reduce__(self):
+        return OverlapResult, self._values
+
+    def _replace(self, **changes) -> OverlapResult:
+        return OverlapResult(**{**dict(zip(self._fields, self._values)), **changes})
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """A connected protrusion and its triangle classification (or None)."""
 
     coins: frozenset
@@ -123,16 +161,14 @@ class Component:
     triangle: Optional[tuple[str, int]]
 
 
-@dataclass(frozen=True)
-class ProtrusionReport:
+class ProtrusionReport(NamedTuple):
     placement: Placement
     source_components: tuple[Component, ...]
     target_components: tuple[Component, ...]
     size_multiset: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MovePlan:
+class MovePlan(NamedTuple):
     """Coins to move, paired lexicographically with their destinations."""
 
     moves: tuple[tuple[Coord, Coord], ...]

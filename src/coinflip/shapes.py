@@ -4,8 +4,7 @@ file format."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from coinflip import formulas
 from coinflip.lattice import Coord, FlipKind
@@ -91,8 +90,7 @@ def serialize(coins) -> str:
     return "".join(f"{a} {b}\n" for a, b in sorted(coins))
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One generated shape family: its shapes, the flip its puzzle asks
     for, and, for the paper's two puzzles, the move-count formulas and
     their table.
@@ -150,20 +148,29 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class ShapeSpec:
-    """A named shape request: a family of FAMILIES plus size, or "custom"
-    with an optional name."""
-
+class _ShapeRequest(NamedTuple):
     kind: str
     size: int = 0
     name: str = ""
 
-    def __post_init__(self):
-        if self.family is None and self.kind != "custom":
-            raise ValueError(f"unknown shape kind {self.kind!r}")
-        if self.family and self.size < 1:
-            raise ValueError(f"{self.kind} size must be >= 1, got {self.size}")
+
+class ShapeSpec(_ShapeRequest):
+    """A named shape request: a family of FAMILIES plus size, or "custom"
+    with an optional name. Checked when it is made, `_replace` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, size: int = 0, name: str = ""):
+        family = FAMILIES.get(kind)
+        if family is None and kind != "custom":
+            raise ValueError(f"unknown shape kind {kind!r}")
+        if family and size < 1:
+            raise ValueError(f"{kind} size must be >= 1, got {size}")
+        return tuple.__new__(cls, (kind, size, name))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def family(self) -> Family | None:

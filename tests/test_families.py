@@ -1,7 +1,6 @@
 """The family table and the commands driven by it: `table` and `verify`."""
 
 import contextlib
-import dataclasses
 import tracemalloc
 
 import pytest
@@ -135,7 +134,7 @@ def _skew_solve(monkeypatch, flip, total):
     def solve(coins, kind):
         result = real(coins, kind)
         if kind is flip and result.total_coins == total:
-            result = dataclasses.replace(result, min_moves=result.min_moves + 1)
+            result = result._replace(min_moves=result.min_moves + 1)
         return result
 
     monkeypatch.setattr(cli.oracle, "solve", solve)
@@ -165,7 +164,7 @@ def _skew_protrusions(monkeypatch, arity, total):
     def protrusions(start, placement, expected_parts=None, result=None):
         report = real(start, placement, expected_parts=expected_parts, result=result)
         if expected_parts == arity and len(start) == total:
-            report = dataclasses.replace(report, size_multiset=report.size_multiset + (1,))
+            report = report._replace(size_multiset=report.size_multiset + (1,))
         return report
 
     monkeypatch.setattr(cli.oracle, "protrusions", protrusions)
