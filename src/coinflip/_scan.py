@@ -32,7 +32,9 @@ triangle and rhombus families have grids far smaller than their pair
 counts; far-flung or sparse shapes do not, and stay on the Counter. It
 refuses, before either kernel allocates anything, a scan estimated to
 take longer than MAX_SCAN_NS, or a Counter scan whose keys could need
-more than MAX_SCAN_BYTES (`counter_bytes`).
+more than MAX_SCAN_BYTES (`counter_bytes`). `check_point_count` makes
+the time check of a shape against its own flip from the point count
+alone, so that a shape too large to scan is refused before it is built.
 """
 
 import math
@@ -221,6 +223,21 @@ class ScanBudgetError(ValueError):
             cost = f"need about {estimate_bytes / 2**30:.3g} GiB of memory"
             cap = f"the cap of {MAX_SCAN_BYTES / 2**30:.3g} GiB"
         super().__init__(f"the translation scan would {cost} ({pairs} coin pairs), over {cap}")
+
+
+def check_point_count(points: int):
+    """Refuse a self-scan of `points` distinct points before they are built.
+
+    Each point fills a grid cell of its own, and past 65535 points each
+    cell takes 4 bytes, so past MAX_GRID_BYTES // 4 points the product
+    grid is over its cap and scan_pairs estimates the Counter on points²
+    pairs. Raises the ScanBudgetError that scan_pairs would raise when
+    that estimate is over MAX_SCAN_NS; smaller inputs are left to it.
+    """
+    pairs = points * points
+    cost = _NS_PER_PAIR * pairs
+    if 4 * points > MAX_GRID_BYTES and cost > MAX_SCAN_NS:
+        raise ScanBudgetError(cost, pairs)
 
 
 def counter_scan(start, flipped, grid=None):

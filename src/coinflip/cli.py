@@ -12,7 +12,7 @@ import sys
 from typing import Iterable, Iterator
 
 from coinflip import formulas, oracle, shapes
-from coinflip._scan import ScanBudgetError
+from coinflip._scan import ScanBudgetError, check_point_count
 from coinflip.lattice import FlipKind, classify_triangle, connected_components
 
 FLIP_NAMES = {f.value: f for f in FlipKind}
@@ -40,9 +40,6 @@ def exact_div_text(numerator: int, divisor: int, max_digits: int = 10) -> str:
 def table_columns(family: shapes.Family) -> tuple[str, ...]:
     increment = ("increment",) if family.increments else ()
     return ("rows", "total_coins", family.old_column, "moves", *increment, "decomposition")
-
-
-TRIANGLE_COLUMNS = table_columns(shapes.FAMILIES["triangle"])
 
 
 def table_fields(family: shapes.Family, max_rows: int, verbose: bool) -> Iterator[list[str]]:
@@ -113,6 +110,8 @@ def _resolve_shape(args, parser) -> tuple[shapes.ShapeSpec, frozenset]:
         parser.error(f"{args.shape} needs a size")
     try:
         spec = shapes.ShapeSpec(args.shape, size=args.size)
+        # building a shape too large to scan could itself exhaust memory
+        check_point_count(spec.family.coin_count(spec.size))
         return spec, shapes.build(spec)
     except ValueError as exc:
         parser.error(str(exc))

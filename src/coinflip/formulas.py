@@ -24,13 +24,6 @@ def triangular(k: int) -> int:
     return k * (k + 1) // 2
 
 
-class DivisionWitness(NamedTuple):
-    """Quotient/remainder pair that picks a branch of the piecewise formulas."""
-
-    m: int
-    p: int
-
-
 class Decomposition(NamedTuple):
     """Triangular numbers (descending, zeros allowed) summing to the move
     count: three for a triangle, two for a rhombus."""
@@ -56,26 +49,21 @@ def triangle_moves_old(rows: int) -> int:
     return triangular(rows) // 3
 
 
-def triangle_division(rows: int) -> DivisionWitness:
-    """Row division selecting the triangle formula branch.
+def triangle_moves_new(rows: int) -> Decomposition:
+    """Move count as a sum of three triangular numbers.
 
-    The quotient is floor((rows - 1) / 3), not floor(rows / 3): with the
-    standard quotient the p = 0 branch overshoots (rows = 6 would give 15
-    instead of 7). The shifted quotient matches the brute-force oracle on
-    all three branches.
+    The row division that picks the branch is m = floor((rows - 1) / 3),
+    p = rows mod 3. The quotient is shifted: with floor(rows / 3) the
+    p = 0 branch overshoots (rows = 6 would give 15 instead of 7). The
+    shifted quotient matches the brute-force oracle on all three branches.
     """
     _check_rows(rows)
-    return DivisionWitness(m=(rows - 1) // 3, p=rows % 3)
-
-
-def triangle_moves_new(rows: int) -> Decomposition:
-    """Move count as a sum of three triangular numbers."""
-    w = triangle_division(rows)
-    tm = triangular(w.m)
-    tm1 = triangular(w.m + 1)
-    if w.p == 1:
+    m, p = (rows - 1) // 3, rows % 3
+    tm = triangular(m)
+    tm1 = triangular(m + 1)
+    if p == 1:
         parts = (tm, tm, tm)
-    elif w.p == 2:
+    elif p == 2:
         parts = (tm1, tm, tm)
     else:
         parts = (tm1, tm1, tm)
@@ -83,16 +71,17 @@ def triangle_moves_new(rows: int) -> Decomposition:
 
 
 def triangle_moves_polynomial(rows: int) -> int:
-    """The triangle decomposition multiplied out.
+    """The triangle decomposition multiplied out, with the same shifted
+    division as triangle_moves_new.
 
     The p = 1 branch is (3m^2 + 3m) / 2, the correct expansion of
     3 * m(m+1)/2.
     """
-    w = triangle_division(rows)
-    m = w.m
-    if w.p == 1:
+    _check_rows(rows)
+    m, p = (rows - 1) // 3, rows % 3
+    if p == 1:
         return (3 * m * m + 3 * m) // 2
-    if w.p == 2:
+    if p == 2:
         return (3 * m * m + 5 * m + 2) // 2
     return (3 * m * m + 7 * m + 4) // 2
 
@@ -116,23 +105,20 @@ def rhombus_moves_old(rows: int) -> int:
     return rows * rows // 4
 
 
-def rhombus_division(rows: int) -> DivisionWitness:
-    """Row division selecting the rhombus formula branch (plain rows = 2m + p)."""
-    _check_rows(rows)
-    return DivisionWitness(m=rows // 2, p=rows % 2)
-
-
 def rhombus_moves_new(rows: int) -> Decomposition:
-    """Move count as a sum of two triangular numbers."""
-    w = rhombus_division(rows)
-    if w.p == 1:
-        parts = (triangular(w.m), triangular(w.m))
+    """Move count as a sum of two triangular numbers, with the plain row
+    division rows = 2m + p."""
+    _check_rows(rows)
+    m, p = divmod(rows, 2)
+    if p == 1:
+        parts = (triangular(m), triangular(m))
     else:
-        parts = (triangular(w.m), triangular(w.m - 1))
+        parts = (triangular(m), triangular(m - 1))
     return Decomposition(parts=parts, moves=sum(parts))
 
 
 def rhombus_moves_polynomial(rows: int) -> int:
     """The rhombus decomposition multiplied out: m^2 + m or m^2."""
-    w = rhombus_division(rows)
-    return w.m * w.m + (w.m if w.p == 1 else 0)
+    _check_rows(rows)
+    m, p = divmod(rows, 2)
+    return m * m + (m if p == 1 else 0)

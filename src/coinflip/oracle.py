@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import islice
-from operator import attrgetter, eq
+from operator import eq
 from typing import NamedTuple, Optional
 
 from coinflip import _scan
@@ -66,9 +66,10 @@ class Placements(Sequence):
     """Read-only sequence of the optimal placements of one flip, ascending
     by shift. Each Placement is decoded from `shifts` when it is read;
     membership is a binary search. Compares equal to a tuple of the same
-    placements, and hashes like one."""
+    placements, and hashes like one. It can be weakly referenced, so that
+    a caller can check that the tie keys it holds have been freed."""
 
-    __slots__ = ("flip", "shifts")
+    __slots__ = ("flip", "shifts", "__weakref__")
 
     def __init__(self, flip: FlipKind, shifts: _scan.Shifts):
         self.flip, self.shifts = flip, shifts
@@ -105,52 +106,14 @@ class Placements(Sequence):
         return f"Placements({self.flip}, {list(self.shifts)!r})"
 
 
-class OverlapResult:
+class OverlapResult(NamedTuple):
     """The exact answer for one flip: coins, best overlap, moves, and
-    every placement that reaches it.
+    every placement that reaches it."""
 
-    A value record like the named tuples below, but a slotted class, so
-    that a result can be weakly referenced (a tuple cannot). Its fields
-    are read-only, it compares and hashes by value, and `_replace` makes
-    a changed copy.
-    """
-
-    _fields = ("total_coins", "max_overlap", "min_moves", "optimal_placements")
-    __slots__ = (*_fields, "__weakref__")
-
-    def __init__(self, total_coins: int, max_overlap: int, min_moves: int,
-                 optimal_placements: Placements):
-        init = object.__setattr__
-        init(self, "total_coins", total_coins)
-        init(self, "max_overlap", max_overlap)
-        init(self, "min_moves", min_moves)
-        init(self, "optimal_placements", optimal_placements)
-
-    _values = property(attrgetter(*_fields))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values == other._values
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values)
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values))
-        return f"OverlapResult({pairs})"
-
-    def __reduce__(self):
-        return OverlapResult, self._values
-
-    def _replace(self, **changes) -> OverlapResult:
-        return OverlapResult(**{**dict(zip(self._fields, self._values)), **changes})
+    total_coins: int
+    max_overlap: int
+    min_moves: int
+    optimal_placements: Placements
 
 
 class Component(NamedTuple):

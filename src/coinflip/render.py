@@ -36,12 +36,6 @@ def _grid_box(cells) -> tuple[int, int, int, int]:
     return b_hi, min_col, b_hi - min(rows) + 1, max(cols) - min_col + 1
 
 
-def ascii_extent(start, target) -> tuple[int, int]:
-    """Lines and columns of ascii_diagram(start, target), without drawing it."""
-    _, _, lines, columns = _grid_box(classify_cells(start, target))
-    return lines, columns
-
-
 def ascii_diagram(start, target) -> str:
     """Character grid of the superimposition.
 

@@ -113,7 +113,7 @@ def test_analyze_frees_each_flip_before_the_next_solve(capsys, monkeypatch, tmp_
     def solve_alone(coins, flip):
         assert all(ref() is None for ref in earlier), "an earlier result is still alive"
         result = solve(coins, flip)
-        earlier.append(weakref.ref(result))
+        earlier.append(weakref.ref(result.optimal_placements))
         return result
 
     monkeypatch.setattr(cli.oracle, "solve", solve_alone)

@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coinflip.formulas import (
-    rhombus_division,
     rhombus_moves_new,
     rhombus_moves_old,
     rhombus_moves_polynomial,
-    triangle_division,
     triangle_move_increment,
     triangle_moves_new,
     triangle_moves_old,
@@ -73,22 +71,6 @@ def test_three_way_agreement_rhombus():
         decomposed = rhombus_moves_new(rows)
         assert floor_form == decomposed.moves == rhombus_moves_polynomial(rows)
         assert sum(decomposed.parts) == decomposed.moves
-
-
-def test_triangle_division_witness():
-    # quotient is taken against rows - 1 so rows 1..3 share m = 0
-    for rows in range(1, 400):
-        witness = triangle_division(rows)
-        assert witness.m == (rows - 1) // 3
-        assert witness.p == rows % 3
-        assert witness.p in (0, 1, 2)
-
-
-def test_rhombus_division_witness():
-    for rows in range(1, 400):
-        witness = rhombus_division(rows)
-        assert rows == 2 * witness.m + witness.p
-        assert witness.p in (0, 1)
 
 
 def test_triangle_parts_are_adjacent_triangular_numbers():

@@ -1,4 +1,7 @@
-"""The result records: their repr, read-only fields, and value equality."""
+"""The result records: one named-tuple idiom, their repr, read-only
+fields, and value equality."""
+
+import weakref
 
 import pytest
 
@@ -19,7 +22,6 @@ def records():
         "Component": report.source_components[0],
         "MovePlan": oracle.move_plan(START, placement, result=result),
         "Decomposition": formulas.triangle_moves_new(5),
-        "DivisionWitness": formulas.triangle_division(5),
         "ShapeSpec": shapes.ShapeSpec("triangle", 4),
         "Family": shapes.FAMILIES["rhombus"],
     }
@@ -46,9 +48,25 @@ REPRS = {
         "(Coord(a=2, b=0), Coord(a=1, b=-1))))"
     ),
     "Decomposition": "Decomposition(parts=(3, 1, 1), moves=5)",
-    "DivisionWitness": "DivisionWitness(m=1, p=2)",
     "ShapeSpec": "ShapeSpec(kind='triangle', size=4, name='')",
 }
+
+
+@pytest.mark.parametrize("name", list(records()))
+def test_every_record_is_a_named_tuple(name):
+    record = records()[name]
+    assert isinstance(record, tuple) and hasattr(record, "_fields")
+    assert type(record)._make(record) == record
+
+
+def test_a_result_lets_its_placements_be_weakly_referenced():
+    # the analyze test in tests/test_bands.py checks each flip's tie keys
+    # are freed through this reference
+    result = records()["OverlapResult"]
+    ref = weakref.ref(result.optimal_placements)
+    assert ref() is result.optimal_placements
+    del result
+    assert ref() is None
 
 
 @pytest.mark.parametrize("name", REPRS)
@@ -68,7 +86,6 @@ FIELDS = {
     "Component": "size",
     "MovePlan": "moves",
     "Decomposition": "moves",
-    "DivisionWitness": "m",
     "ShapeSpec": "size",
     "Family": "divisor",
 }

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from coinflip.lattice import Coord, FlipKind
@@ -6,7 +7,6 @@ from coinflip.render import (
     ASCII_GLYPHS,
     MAX_ASCII_CHARS,
     ascii_diagram,
-    ascii_extent,
     classify_cells,
     svg_diagram,
 )
@@ -81,9 +81,10 @@ def test_ascii_glyphs_sit_at_their_cells(points, flip):
     _, target = best_target(points, flip)
     cells = classify_cells(points, target)
     lines = ascii_diagram(points, target).split("\n")
-    assert (len(lines), max(map(len, lines))) == ascii_extent(points, target)
     b_hi = max(b for _, b in cells)
     min_col = min(2 * a + b for a, b in cells)
+    assert len(lines) == b_hi - min(b for _, b in cells) + 1
+    assert max(map(len, lines)) == max(2 * a + b for a, b in cells) - min_col + 1
     kind_of = {glyph: kind for kind, glyph in ASCII_GLYPHS.items()}
     drawn = {}
     for i, line in enumerate(lines):
@@ -96,12 +97,13 @@ def test_ascii_glyphs_sit_at_their_cells(points, flip):
 
 
 def test_far_flung_ascii_extent_is_computed_not_drawn():
-    # only the estimate runs: the grid itself would be 2^40 lines long
+    # only the extent is computed: the grid itself would be 2^40 lines long
     start = frozenset({Coord(0, 0), Coord(2**40, 2**40)})
     _, target = best_target(start, FlipKind.ROTATE_180)
-    lines, columns = ascii_extent(start, target)
-    assert (lines, columns) == (2**40 + 1, 3 * 2**40 + 1)
+    lines, columns = 2**40 + 1, 3 * 2**40 + 1
     assert lines * columns > MAX_ASCII_CHARS
+    with pytest.raises(ValueError, match=f"would be {lines} lines x {columns} columns"):
+        ascii_diagram(start, target)
 
 
 def test_svg_structure():
