@@ -23,18 +23,20 @@ b0 = min_b(S) - max_b(F) and H = span_b(S) + span_b(F) + 1. Since
 has key (a - min_a S)·H + (b - min_b S), a flipped point
 (max_a F - a)·H + (max_b F - b), and a pair's key is the sum of the two.
 The product kernel's grid is this layout itself, one row of H cells per
-a, so a cell's index is its key. Results come back as `Shifts`, which
-keeps the tied keys and decodes a shift only when it is read.
+a, so a cell's index is its key. Both kernels return the tied keys,
+sorted; the layout stays in this module, and callers decode a key with
+`Grid.shift` and encode a shift with `Grid.key`.
 
-`scan_pairs` reads both bounding boxes, estimates each kernel's cost
-(`prefers_product`) and runs the cheaper one. Dense shapes such as the
+`scan_pairs` reads both bounding boxes into a `Grid` and runs the kernel
+that `kernel_for` picks from the grid and the pair count: the cheaper
+one by the cost model (`prefers_product`). Dense shapes such as the
 triangle and rhombus families have grids far smaller than their pair
-counts; far-flung or sparse shapes do not, and stay on the Counter. It
-refuses, before either kernel allocates anything, a scan estimated to
-take longer than MAX_SCAN_NS, or a Counter scan whose keys could need
-more than MAX_SCAN_BYTES (`counter_bytes`). `check_point_count` makes
-the time check of a shape against its own flip from the point count
-alone, so that a shape too large to scan is refused before it is built.
+counts; far-flung or sparse shapes do not, and stay on the Counter.
+`kernel_for` refuses, before either kernel allocates anything, a scan
+estimated to take longer than MAX_SCAN_NS, or a Counter scan whose keys
+could need more than MAX_SCAN_BYTES (`counter_bytes`). A caller that
+knows a shape's grid and size without its points (the CLI, from a
+family's hull corners) checks it the same way before building it.
 """
 
 import math
@@ -42,8 +44,6 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Sequence
-from operator import eq
 from typing import NamedTuple
 
 # Cost model, in nanoseconds, measured on CPython 3.11 on a 2-core x86
@@ -59,7 +59,7 @@ _KARATSUBA_EXPONENT = 1.585
 # The product kernel never builds a grid beyond this many bytes.
 MAX_GRID_BYTES = 16 << 20
 
-# scan_pairs refuses a scan estimated to take longer than this. The product
+# kernel_for refuses a scan estimated to take longer than this. The product
 # kernel at MAX_GRID_BYTES is estimated at about 90 s, so only the Counter,
 # on more than about 1.5e9 pairs, can exceed it: a dense shape past the
 # byte cap (a triangle of 1025 rows or more) or a 40k-coin sparse one.
@@ -72,7 +72,7 @@ MAX_SCAN_NS = 600 * 10**9
 # bytes more for each further 30 bits.
 _COUNTER_BYTES_PER_KEY = 96
 
-# scan_pairs refuses a Counter scan estimated to need more memory than
+# kernel_for refuses a Counter scan estimated to need more memory than
 # this. The product kernel's grid is capped far lower (MAX_GRID_BYTES).
 MAX_SCAN_BYTES = 2 << 30
 
@@ -106,19 +106,31 @@ class Grid(NamedTuple):
     def cells(self) -> int:
         return self.width * (self.start_rows + self.flipped_rows - 1)
 
-    def shifts(self, keys) -> "Shifts":
-        """The shifts named by `keys`, which must be sorted ascending."""
-        return Shifts(
-            keys, self.start_a - self.flipped_a, self.start_b - self.flipped_b, self.width
-        )
+    def shift(self, key: int) -> tuple[int, int]:
+        """The shift (da, db) that `key` names."""
+        da, db = divmod(key, self.width)
+        return (self.start_a - self.flipped_a + da, self.start_b - self.flipped_b + db)
+
+    def key(self, shift) -> int | None:
+        """The key of `shift`, or None when db - b0 falls outside
+        [0, width), where the key would alias another shift's."""
+        da, db = shift
+        db -= self.start_b - self.flipped_b
+        if not 0 <= db < self.width:
+            return None
+        return (da - self.start_a + self.flipped_a) * self.width + db
+
+
+def cell_bytes(most: int) -> int:
+    """Bytes per product-grid cell, so that a count up to `most` never
+    carries into the next cell."""
+    return 1 if most < 1 << 8 else 2 if most < 1 << 16 else 4
 
 
 def grid_of(start, flipped) -> Grid:
     """The shift-key layout, from the bounding boxes alone."""
     sa, sb = zip(*start)
     fa, fb = zip(*flipped)
-    most = min(len(start), len(flipped))  # no overlap exceeds this
-    cell_bytes = 1 if most < 1 << 8 else 2 if most < 1 << 16 else 4
     start_a, start_b, flipped_a, flipped_b = min(sa), min(sb), max(fa), max(fb)
     return Grid(
         width=max(sb) - start_b + flipped_b - min(fb) + 1,
@@ -128,51 +140,8 @@ def grid_of(start, flipped) -> Grid:
         start_b=start_b,
         flipped_a=flipped_a,
         flipped_b=flipped_b,
-        cell_bytes=cell_bytes,
+        cell_bytes=cell_bytes(min(len(start), len(flipped))),  # no overlap exceeds this
     )
-
-
-class Shifts(Sequence):
-    """Read-only sequence of shifts (da, db), ascending, kept as sorted
-    integer keys and decoded on access. Compares equal to a list of the
-    same shifts and, like a list, is unhashable."""
-
-    __slots__ = ("keys", "a0", "b0", "width")
-
-    def __init__(self, keys, a0: int, b0: int, width: int):
-        self.keys = keys
-        self.a0, self.b0, self.width = a0, b0, width
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __getitem__(self, i) -> tuple[int, int]:
-        da, db = divmod(self.keys[i], self.width)
-        return (self.a0 + da, self.b0 + db)
-
-    def __iter__(self):
-        a0, b0, width = self.a0, self.b0, self.width
-        for key in self.keys:
-            da, db = divmod(key, width)
-            yield (a0 + da, b0 + db)
-
-    def __contains__(self, shift) -> bool:
-        try:
-            a, b = shift
-            i = bisect_left(self.keys, (a - self.a0) * self.width + b - self.b0)
-        except (TypeError, ValueError):
-            return False
-        # Decoding the key found rejects a shift whose db - b0 falls outside
-        # [0, width) and so aliases the key of another shift.
-        return i < len(self.keys) and self[i] == shift
-
-    def __eq__(self, other):
-        if not isinstance(other, (Shifts, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"Shifts({list(self)!r})"
 
 
 def _product_ns(grid: Grid) -> float:
@@ -193,7 +162,7 @@ def prefers_product(grid: Grid, pairs: int) -> bool:
 
 
 def estimate_ns(grid: Grid, pairs: int) -> float:
-    """Estimated time of the kernel scan_pairs picks: the cheaper one."""
+    """Estimated time of the kernel kernel_for picks: the cheaper one."""
     return min(_product_ns(grid), _NS_PER_PAIR * pairs)
 
 
@@ -223,21 +192,6 @@ class ScanBudgetError(ValueError):
             cost = f"need about {estimate_bytes / 2**30:.3g} GiB of memory"
             cap = f"the cap of {MAX_SCAN_BYTES / 2**30:.3g} GiB"
         super().__init__(f"the translation scan would {cost} ({pairs} coin pairs), over {cap}")
-
-
-def check_point_count(points: int):
-    """Refuse a self-scan of `points` distinct points before they are built.
-
-    Each point fills a grid cell of its own, and past 65535 points each
-    cell takes 4 bytes, so past MAX_GRID_BYTES // 4 points the product
-    grid is over its cap and scan_pairs estimates the Counter on points²
-    pairs. Raises the ScanBudgetError that scan_pairs would raise when
-    that estimate is over MAX_SCAN_NS; smaller inputs are left to it.
-    """
-    pairs = points * points
-    cost = _NS_PER_PAIR * pairs
-    if 4 * points > MAX_GRID_BYTES and cost > MAX_SCAN_NS:
-        raise ScanBudgetError(cost, pairs)
 
 
 def counter_scan(start, flipped, grid=None):
@@ -286,7 +240,7 @@ def counter_scan(start, flipped, grid=None):
                 best, keys = top, ties
             else:
                 keys += ties
-    return best, g.shifts(keys)
+    return best, keys
 
 
 def product_scan(start, flipped, grid=None):
@@ -322,30 +276,39 @@ def product_scan(start, flipped, grid=None):
             i = counts.index(best, i + 1)
         except ValueError:
             i = -1
-    return best, g.shifts(keys)
+    return best, keys
+
+
+def kernel_for(grid: Grid, pairs: int):
+    """The kernel to scan `pairs` point pairs laid out as `grid`:
+    product_scan when `prefers_product`, else counter_scan.
+
+    Raises ScanBudgetError when `estimate_ns` is over MAX_SCAN_NS or, for
+    the Counter, `counter_bytes` is over MAX_SCAN_BYTES. Time is checked
+    first. It reads only the grid and the pair count, so a caller that
+    knows them can check a scan before building its points.
+    """
+    cost = estimate_ns(grid, pairs)
+    if cost > MAX_SCAN_NS:
+        raise ScanBudgetError(cost, pairs)
+    if prefers_product(grid, pairs):
+        return product_scan
+    memory = counter_bytes(grid, pairs)
+    if memory > MAX_SCAN_BYTES:
+        raise ScanBudgetError(cost, pairs, memory)
+    return counter_scan
 
 
 def scan_pairs(start, flipped):
     """Best overlap over all translations of `flipped` onto `start`.
 
     Both arguments are sequences of (a, b) integer pairs. Returns
-    (max_overlap, shifts) where shifts is a `Shifts` of every (da, db)
-    achieving the maximum, ascending. The kernel is chosen by
-    `prefers_product`; both give the same answer. Raises ScanBudgetError,
-    before either kernel allocates anything, when `estimate_ns` is over
-    MAX_SCAN_NS or, for the Counter, `counter_bytes` is over
-    MAX_SCAN_BYTES. Time is checked first.
+    (max_overlap, keys, grid): the sorted keys of every shift achieving
+    the maximum, which `grid.shift` decodes. Raises ScanBudgetError, before
+    either kernel allocates anything, when `kernel_for` refuses the scan.
     """
     if not start or not flipped:
         raise ValueError("scan_pairs requires nonempty point lists")
     grid = grid_of(start, flipped)
-    pairs = len(start) * len(flipped)
-    cost = estimate_ns(grid, pairs)
-    if cost > MAX_SCAN_NS:
-        raise ScanBudgetError(cost, pairs)
-    if prefers_product(grid, pairs):
-        return product_scan(start, flipped, grid)
-    memory = counter_bytes(grid, pairs)
-    if memory > MAX_SCAN_BYTES:
-        raise ScanBudgetError(cost, pairs, memory)
-    return counter_scan(start, flipped, grid)
+    best, keys = kernel_for(grid, len(start) * len(flipped))(start, flipped, grid)
+    return best, keys, grid

@@ -12,8 +12,8 @@ import sys
 from typing import Iterable, Iterator
 
 from coinflip import formulas, oracle, shapes
-from coinflip._scan import ScanBudgetError, check_point_count
-from coinflip.lattice import FlipKind, classify_triangle, connected_components
+from coinflip._scan import Grid, ScanBudgetError, cell_bytes, grid_of, kernel_for
+from coinflip.lattice import FlipKind, classify_triangle, connected_components, flip_points
 
 FLIP_NAMES = {f.value: f for f in FlipKind}
 PUZZLES = {name: f for name, f in shapes.FAMILIES.items() if f.is_puzzle}
@@ -90,7 +90,21 @@ def _add_shape_args(sub: argparse.ArgumentParser):
     sub.add_argument("--shape-file", metavar="PATH", help="load a custom shape file")
 
 
-def _resolve_shape(args, parser) -> tuple[shapes.ShapeSpec, frozenset]:
+def _family_grid(spec: shapes.ShapeSpec, flip: FlipKind) -> Grid:
+    """The scan's Grid for a family shape under `flip`, read off the
+    shape's hull corners: the shapes are convex and the flips linear, so
+    the corners span the same boxes as the coins."""
+    corners = spec.family.corners(spec.size)
+    grid = grid_of(corners, flip_points(corners, flip))
+    return grid._replace(cell_bytes=cell_bytes(spec.family.coin_count(spec.size)))
+
+
+def _resolve_shape(args, parser, every_flip=False):
+    """The shape that `args` names, its coins, and the flips to solve it
+    under: every flip in FlipKind order when `every_flip`, else --flip or
+    the shape's default. A family shape is built only once `kernel_for`
+    accepts the scan of each of those flips, so that a shape too large to
+    scan is refused before building it could exhaust memory."""
     if args.shape_file:
         if args.shape not in (None, "custom"):
             parser.error(f"--shape-file cannot be combined with shape '{args.shape}'")
@@ -101,26 +115,28 @@ def _resolve_shape(args, parser) -> tuple[shapes.ShapeSpec, frozenset]:
             parser.error(f"cannot read shape file: {exc}")
         except shapes.ShapeFormatError as exc:
             parser.error(f"{args.shape_file}: {exc}")
-        return shapes.ShapeSpec("custom", name=args.shape_file), coins
-    if args.shape is None:
-        parser.error("a shape (or --shape-file) is required")
-    if args.shape == "custom":
-        parser.error("custom shapes need --shape-file")
-    if args.size is None:
-        parser.error(f"{args.shape} needs a size")
-    try:
-        spec = shapes.ShapeSpec(args.shape, size=args.size)
-        # building a shape too large to scan could itself exhaust memory
-        check_point_count(spec.family.coin_count(spec.size))
-        return spec, shapes.build(spec)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _resolve_flip(args, spec: shapes.ShapeSpec) -> FlipKind:
-    if args.flip:
-        return FLIP_NAMES[args.flip]
-    return shapes.default_flip(spec)
+        spec = shapes.ShapeSpec("custom", name=args.shape_file)
+    else:
+        if args.shape is None:
+            parser.error("a shape (or --shape-file) is required")
+        if args.shape == "custom":
+            parser.error("custom shapes need --shape-file")
+        if args.size is None:
+            parser.error(f"{args.shape} needs a size")
+        try:
+            spec = shapes.ShapeSpec(args.shape, size=args.size)
+        except ValueError as exc:
+            parser.error(str(exc))
+    if every_flip:
+        flips = tuple(FlipKind)
+    else:
+        flips = (FLIP_NAMES[args.flip] if args.flip else shapes.default_flip(spec),)
+    if spec.family:
+        pairs = spec.family.coin_count(spec.size) ** 2
+        for flip in flips:
+            kernel_for(_family_grid(spec, flip), pairs)
+        coins = shapes.build(spec)
+    return spec, coins, flips
 
 
 def _multiset_text(sizes) -> str:
@@ -131,8 +147,7 @@ def _multiset_text(sizes) -> str:
 
 
 def cmd_solve(args, parser) -> int:
-    spec, coins = _resolve_shape(args, parser)
-    flip = _resolve_flip(args, spec)
+    spec, coins, (flip,) = _resolve_shape(args, parser)
     result = oracle.solve(coins, flip)
     canonical = result.optimal_placements[0]
     report = oracle.protrusions(
@@ -168,8 +183,7 @@ def cmd_table(args, parser) -> int:
 def cmd_render(args, parser) -> int:
     from coinflip import render  # only this command draws; the others skip loading it
 
-    spec, coins = _resolve_shape(args, parser)
-    flip = _resolve_flip(args, spec)
+    spec, coins, (flip,) = _resolve_shape(args, parser)
     result = oracle.solve(coins, flip)
     count = len(result.optimal_placements)
     if not 0 <= args.placement < count:
@@ -257,7 +271,7 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_analyze(args, parser) -> int:
-    spec, coins = _resolve_shape(args, parser)
+    spec, coins, flips = _resolve_shape(args, parser, every_flip=True)
     print(f"shape: {spec.label()}")
     print(f"total coins: {len(coins)}")
     a_lo, a_hi = min(c.a for c in coins), max(c.a for c in coins)
@@ -269,7 +283,7 @@ def cmd_analyze(args, parser) -> int:
         cls = classify_triangle(comp)
         desc = f"{cls[0]} triangle, {cls[1]} rows" if cls else "not a triangle"
         print(f"  component {i}: {len(comp)} coins, {desc}")
-    for flip in FlipKind:
+    for flip in flips:
         print(_flip_summary(coins, flip))
     return 0
 

@@ -12,12 +12,11 @@ bounding-box grid for dense shapes, and the reference Counter over all
 coin pairs for sparse or far-flung ones. A cost model read off the
 bounding boxes picks between them per call.
 
-Both kernels name each shift by one integer key, (da - a0)·H + (db - b0)
-with H the combined b-extent of the two shapes, so that ascending keys
-are ascending (da, db); the product kernel's grid has one row of H cells
-per da, and a cell's index is its key. A far-flung shape can tie hundreds
-of thousands of shifts, so solve() keeps the sorted keys and
-`Placements` decodes a placement only when it is read.
+Both kernels name each shift by one integer key, and ascending keys are
+ascending (da, db). A far-flung shape can tie hundreds of thousands of
+shifts, so solve() keeps the sorted keys with the scan's `_scan.Grid`,
+and `Placements` decodes a placement through that grid (`Grid.shift`,
+`Grid.key`) only when it is read. The key layout stays in `_scan`.
 
 Coin inputs may be any iterable of (a, b) pairs. A frozenset of Coord,
 as the shape generators and the shape-file parser return it, is used as
@@ -29,6 +28,7 @@ Coord.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import islice
 from operator import eq
@@ -64,46 +64,49 @@ class Placement(NamedTuple):
 
 class Placements(Sequence):
     """Read-only sequence of the optimal placements of one flip, ascending
-    by shift. Each Placement is decoded from `shifts` when it is read;
-    membership is a binary search. Compares equal to a tuple of the same
-    placements, and hashes like one. It can be weakly referenced, so that
-    a caller can check that the tie keys it holds have been freed."""
+    by shift. It holds the scan's sorted tie keys, and each Placement is
+    decoded through `grid` when it is read; membership is a binary search.
+    Compares equal to a tuple of the same placements, and hashes like one.
+    It can be weakly referenced, so that a caller can check that the tie
+    keys it holds have been freed."""
 
-    __slots__ = ("flip", "shifts", "__weakref__")
+    __slots__ = ("flip", "keys", "grid", "__weakref__")
 
-    def __init__(self, flip: FlipKind, shifts: _scan.Shifts):
-        self.flip, self.shifts = flip, shifts
+    def __init__(self, flip: FlipKind, keys: list[int], grid: _scan.Grid):
+        self.flip, self.keys, self.grid = flip, keys, grid
 
     def __len__(self) -> int:
-        return len(self.shifts)
+        return len(self.keys)
 
     def __getitem__(self, i) -> Placement:
-        return Placement(self.flip, self.shifts[i])
+        return Placement(self.flip, self.grid.shift(self.keys[i]))
 
     def __iter__(self):
         flip = self.flip
-        for shift in self.shifts:
+        for shift in map(self.grid.shift, self.keys):
             yield Placement(flip, shift)
 
     def __contains__(self, placement) -> bool:
         try:
             flip, shift = placement
+            key = self.grid.key(shift)
         except (TypeError, ValueError):
             return False
-        return flip == self.flip and shift in self.shifts
+        if flip != self.flip or key is None:
+            return False
+        i = bisect_left(self.keys, key)
+        return i < len(self.keys) and self.keys[i] == key
 
     def __eq__(self, other):
-        if isinstance(other, Placements):
-            return self.flip == other.flip and self.shifts == other.shifts
-        if isinstance(other, tuple):
-            return len(self) == len(other) and all(map(eq, self, other))
-        return NotImplemented
+        if not isinstance(other, (Placements, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
     def __hash__(self) -> int:
         return hash(tuple(self))
 
     def __repr__(self) -> str:
-        return f"Placements({self.flip}, {list(self.shifts)!r})"
+        return f"Placements({self.flip}, {list(map(self.grid.shift, self.keys))!r})"
 
 
 class OverlapResult(NamedTuple):
@@ -160,12 +163,12 @@ def solve(start, flip: FlipKind) -> OverlapResult:
     start = as_coin_set(start)
     if not start:
         raise ValueError("cannot solve an empty coin set")
-    best, shifts = _scan.scan_pairs(list(start), flip_points(start, flip))
+    best, keys, grid = _scan.scan_pairs(list(start), flip_points(start, flip))
     return OverlapResult(
         total_coins=len(start),
         max_overlap=best,
         min_moves=len(start) - best,
-        optimal_placements=Placements(flip, shifts),
+        optimal_placements=Placements(flip, keys, grid),
     )
 
 

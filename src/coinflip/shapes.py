@@ -103,6 +103,9 @@ class Family(NamedTuple):
     name: str
     generator: Callable[[int], frozenset]
     coin_count: Callable[[int], int]  # len(generator(n))
+    # The vertices of generator(n)'s convex hull. Every flip is linear, so
+    # the extremes of a flipped shape's coordinates lie at these too.
+    corners: Callable[[int], list[tuple[int, int]]]
     default_flip: FlipKind = FlipKind.ROTATE_180
     # Puzzle families only (the rest keep these defaults):
     protrusion_arity: int | None = None  # protruding triangles per solution
@@ -128,6 +131,7 @@ FAMILIES = {
             "triangle",
             triangle_up,
             lambda n: formulas.triangular(n),
+            lambda n: [(0, 0), (n - 1, 0), (0, n - 1)],
             protrusion_arity=3,
             divisor=3,
             old_column="old_formula",
@@ -137,13 +141,21 @@ FAMILIES = {
             "rhombus",
             rhombus,
             lambda n: n * n,
+            lambda n: [(0, 0), (n - 1, 0), (0, n - 1), (n - 1, n - 1)],
             default_flip=FlipKind.MIRROR_HORIZONTAL,
             protrusion_arity=2,
             cross_check_flips=(FlipKind.MIRROR_VERTICAL,),
             divisor=4,
             old_column="coins_div_4",
         ),
-        Family("hexagon", hexagon, lambda k: 3 * k * k - 3 * k + 1),
+        Family(
+            "hexagon",
+            hexagon,
+            lambda k: 3 * k * k - 3 * k + 1,
+            lambda k: [
+                (k - 1, 0), (0, k - 1), (1 - k, k - 1), (1 - k, 0), (0, 1 - k), (k - 1, 1 - k)
+            ],
+        ),
     )
 }
 

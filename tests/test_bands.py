@@ -13,7 +13,7 @@ from collections import Counter
 from unittest.mock import patch
 
 from coinflip import _scan, cli
-from coinflip._scan import BAND_PAIRS, counter_scan
+from coinflip._scan import BAND_PAIRS, counter_scan, grid_of
 from coinflip.lattice import FlipKind, flip_points
 
 
@@ -28,9 +28,15 @@ def tuple_counter(start, flipped):
     return best, sorted(t for t, c in counts.items() if c == best)
 
 
+def decoded(start, flipped):
+    """counter_scan's best and tied shifts, its keys decoded by grid_of."""
+    best, keys = counter_scan(start, flipped)
+    return best, list(map(grid_of(start, flipped).shift, keys))
+
+
 def banded(band_pairs, start, flipped):
     with patch.object(_scan, "BAND_PAIRS", band_pairs):
-        return counter_scan(start, flipped)
+        return decoded(start, flipped)
 
 
 def test_ties_split_across_bands():
@@ -75,7 +81,7 @@ def test_a_default_scan_over_band_pairs():
     start = far_flung(300, 5)
     flipped = flip_points(start, FlipKind.MIRROR_HORIZONTAL)
     assert len(start) * len(flipped) > BAND_PAIRS  # 90,000 pairs: two bands
-    assert counter_scan(start, flipped) == tuple_counter(start, flipped)
+    assert decoded(start, flipped) == tuple_counter(start, flipped)
 
 
 def symmetric_far_flung(half, seed):
@@ -97,11 +103,11 @@ def test_the_counter_holds_one_band_at_a_time():
     assert len(start) ** 2 > 5 * BAND_PAIRS
     tracemalloc.start()
     try:
-        best, shifts = counter_scan(start, flipped)
+        best, keys = counter_scan(start, flipped)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert best == len(start) and len(shifts) == 1
+    assert best == len(start) and len(keys) == 1
     assert peak < 12 << 20
 
 

@@ -27,7 +27,7 @@ from coinflip._scan import (
     scan_pairs,
 )
 from coinflip.lattice import FlipKind, flip_points
-from coinflip.shapes import hexagon, rhombus, triangle_up
+from coinflip.shapes import FAMILIES, ShapeSpec, hexagon, rhombus, triangle_up
 
 
 def triangle_grid(n):
@@ -43,6 +43,14 @@ def test_triangle_grid_matches_grid_of():
         grid, pairs = triangle_grid(n)
         assert grid_of(list(start), flip_points(start, FlipKind.ROTATE_180)) == grid
         assert pairs == len(start) ** 2
+    # the CLI's pre-build check reads every family's grid off its corners
+    for name, family in FAMILIES.items():
+        for n in range(1, 41):
+            coins = family.generator(n)
+            assert len(coins) == family.coin_count(n)
+            for flip in FlipKind:
+                built = grid_of(list(coins), flip_points(coins, flip))
+                assert cli._family_grid(ShapeSpec(name, n), flip) == built
 
 
 def test_dense_fall_off_starts_at_1025_rows():
@@ -153,11 +161,11 @@ def test_the_estimate_bounds_a_one_band_scan():
     with patch.object(_scan, "BAND_PAIRS", pairs):
         tracemalloc.start()
         try:
-            best, shifts = counter_scan(start, flipped)
+            best, keys = counter_scan(start, flipped)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert best == 1 and len(shifts) == pairs
+    assert best == 1 and len(keys) == pairs
     estimate = counter_bytes(grid_of(start, flipped), pairs)
     assert estimate / 2 < peak <= estimate
 
@@ -177,8 +185,8 @@ def test_scan_pairs_refuses_the_counter_before_it_runs(monkeypatch):
     assert exc.value.estimate_ns == estimate_ns(grid, 100)
     assert exc.value.pairs == 100
     monkeypatch.setattr(_scan, "MAX_SCAN_BYTES", memory)
-    monkeypatch.setattr(_scan, "counter_scan", lambda *args: "scanned")
-    assert scan_pairs(start, flipped) == "scanned"
+    monkeypatch.setattr(_scan, "counter_scan", lambda *args: ("best", "keys"))
+    assert scan_pairs(start, flipped) == ("best", "keys", grid)
 
 
 def test_cli_refuses_a_scan_over_the_memory_cap(capsys, monkeypatch, tmp_path):

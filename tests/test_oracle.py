@@ -219,7 +219,9 @@ def test_kernels_agree_at_the_cell_width_boundary(shape, cell_bytes):
 
 def test_product_kernel_counts_repeated_points():
     start, flipped = [(0, 0), (0, 0), (1, 0)], [(-1, 0), (0, 0)]
-    assert product_scan(start, flipped) == counter_scan(start, flipped) == (3, [(1, 0)])
+    best, keys = product_scan(start, flipped)
+    assert (best, keys) == counter_scan(start, flipped)
+    assert (best, list(map(grid_of(start, flipped).shift, keys))) == (3, [(1, 0)])
 
 
 def scatter(coins, side, seed):
@@ -289,25 +291,29 @@ def check_against_a_tuple_counter(points, flip, data):
     counts = Counter((sa - fa, sb - fb) for sa, sb in start for fa, fb in flipped)
     best = max(counts.values())
     expected = sorted(t for t, c in counts.items() if c == best)
-    assert counter_scan(start, flipped) == (best, expected)
+    grid = grid_of(start, flipped)
+    overlap, keys = counter_scan(start, flipped)
+    assert (overlap, list(map(grid.shift, keys))) == (best, expected)
+    assert scan_pairs(start, flipped) == (best, keys, grid)
 
-    overlap, shifts = scan_pairs(start, flipped)
-    assert overlap == best
-    assert len(shifts) == len(expected)
-    assert list(shifts) == expected
-    assert all(type(k) is int for k in shifts.keys)
-    assert shifts.keys == sorted(set(shifts.keys))
+    placements = solve(points, flip).optimal_placements
+    assert all(type(k) is int for k in placements.keys)
+    assert placements.keys == sorted(set(placements.keys))
+    assert [p.shift for p in placements] == expected
     image = flip_set(points, flip)
-    for shift in shifts:
-        assert len(points & translate(image, shift)) == best
+    for placement in placements:
+        assert len(points & translate(image, placement.shift)) == best
 
-    # the lazy view answers like the list it decodes to
-    assert shifts == expected
-    assert shifts[0] == expected[0] and shifts[-1] == expected[-1]
+    # the lazy view answers like the tuple it decodes to
+    placed = tuple(Placement(flip, t) for t in expected)
+    assert placements == placed
+    assert len(placements) == len(placed)
+    assert placements[0] == placed[0] and placements[-1] == placed[-1]
     i = data.draw(st.integers(-len(expected), len(expected) - 1))
-    assert shifts[i] == expected[i]
-    assert all(t in shifts for t in expected)
-    a0, b0, width = shifts.a0, shifts.b0, shifts.width
+    assert placements[i] == placed[i]
+    assert all(p in placements for p in placed)
+    a0, b0 = placements.grid.shift(0)
+    width = placements.grid.width
     absent = [
         (a0 - 1, b0),
         (a0, b0 - 1),  # db - b0 below [0, H)
@@ -317,11 +323,13 @@ def check_against_a_tuple_counter(points, flip, data):
         data.draw(st.tuples(far_coords, far_coords)),
     ]
     for t in absent:
-        assert (t in shifts) == (t in expected)
-    assert "not a shift" not in shifts and (0, 0, 0) not in shifts
+        assert (Placement(flip, t) in placements) == (t in expected)
+    other = next(f for f in FlipKind if f != flip)
+    assert Placement(other, expected[0]) not in placements
+    for malformed in ("not a placement", (flip, "ab"), (flip, (0, 0, 0)), expected[0]):
+        assert malformed not in placements
 
     # both kernels agree wherever the product's grid is small enough to build
-    grid = grid_of(start, flipped)
     if grid.cells * grid.cell_bytes <= 1 << 16:
         assert product_scan(start, flipped) == counter_scan(start, flipped)
 
