@@ -34,9 +34,10 @@ triangle and rhombus families have grids far smaller than their pair
 counts; far-flung or sparse shapes do not, and stay on the Counter.
 `kernel_for` refuses, before either kernel allocates anything, a scan
 estimated to take longer than MAX_SCAN_NS, or a Counter scan whose keys
-could need more than MAX_SCAN_BYTES (`counter_bytes`). A caller that
-knows a shape's grid and size without its points (the CLI, from a
-family's hull corners) checks it the same way before building it.
+could need more than MAX_SCAN_BYTES (`counter_bytes`). The grid depends
+on the points only through their `lattice.Box` hulls (`box_grid`), so a
+caller that knows a shape's box and size without its points (the CLI,
+from a family's box) checks it the same way before building it.
 """
 
 import math
@@ -45,6 +46,8 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from typing import NamedTuple
+
+from coinflip.lattice import Box
 
 # Cost model, in nanoseconds, measured on CPython 3.11 on a 2-core x86
 # VM. The Counter spends about 400 ns per pair. The product kernel spends
@@ -127,21 +130,24 @@ def cell_bytes(most: int) -> int:
     return 1 if most < 1 << 8 else 2 if most < 1 << 16 else 4
 
 
-def grid_of(start, flipped) -> Grid:
-    """The shift-key layout, from the bounding boxes alone."""
-    sa, sb = zip(*start)
-    fa, fb = zip(*flipped)
-    start_a, start_b, flipped_a, flipped_b = min(sa), min(sb), max(fa), max(fb)
+def box_grid(start: Box, flipped: Box, most: int) -> Grid:
+    """The shift-key layout of a start box against a flipped box, where no
+    overlap exceeds `most` (the smaller of the two point counts)."""
     return Grid(
-        width=max(sb) - start_b + flipped_b - min(fb) + 1,
-        start_rows=max(sa) - start_a + 1,
-        flipped_rows=flipped_a - min(fa) + 1,
-        start_a=start_a,
-        start_b=start_b,
-        flipped_a=flipped_a,
-        flipped_b=flipped_b,
-        cell_bytes=cell_bytes(min(len(start), len(flipped))),  # no overlap exceeds this
+        width=start.b_hi - start.b_lo + flipped.b_hi - flipped.b_lo + 1,
+        start_rows=start.a_hi - start.a_lo + 1,
+        flipped_rows=flipped.a_hi - flipped.a_lo + 1,
+        start_a=start.a_lo,
+        start_b=start.b_lo,
+        flipped_a=flipped.a_hi,
+        flipped_b=flipped.b_hi,
+        cell_bytes=cell_bytes(most),
     )
+
+
+def grid_of(start, flipped) -> Grid:
+    """The shift-key layout of two point sets, from their boxes alone."""
+    return box_grid(Box.of(start), Box.of(flipped), min(len(start), len(flipped)))
 
 
 def _product_ns(grid: Grid) -> float:

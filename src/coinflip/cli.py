@@ -12,8 +12,8 @@ import sys
 from typing import Iterable, Iterator
 
 from coinflip import formulas, oracle, shapes
-from coinflip._scan import Grid, ScanBudgetError, cell_bytes, grid_of, kernel_for
-from coinflip.lattice import FlipKind, classify_triangle, connected_components, flip_points
+from coinflip._scan import ScanBudgetError, box_grid, kernel_for
+from coinflip.lattice import Box, FlipKind, classify_triangle, connected_components
 
 FLIP_NAMES = {f.value: f for f in FlipKind}
 PUZZLES = {name: f for name, f in shapes.FAMILIES.items() if f.is_puzzle}
@@ -90,21 +90,18 @@ def _add_shape_args(sub: argparse.ArgumentParser):
     sub.add_argument("--shape-file", metavar="PATH", help="load a custom shape file")
 
 
-def _family_grid(spec: shapes.ShapeSpec, flip: FlipKind) -> Grid:
-    """The scan's Grid for a family shape under `flip`, read off the
-    shape's hull corners: the shapes are convex and the flips linear, so
-    the corners span the same boxes as the coins."""
-    corners = spec.family.corners(spec.size)
-    grid = grid_of(corners, flip_points(corners, flip))
-    return grid._replace(cell_bytes=cell_bytes(spec.family.coin_count(spec.size)))
+def _check_scans(box: Box, count: int, flips):
+    """Raise ScanBudgetError if kernel_for refuses any flip's scan of `count` coins in `box`."""
+    for flip in flips:
+        kernel_for(box_grid(box, box.flip(flip), count), count * count)
 
 
 def _resolve_shape(args, parser, every_flip=False):
     """The shape that `args` names, its coins, and the flips to solve it
     under: every flip in FlipKind order when `every_flip`, else --flip or
-    the shape's default. A family shape is built only once `kernel_for`
-    accepts the scan of each of those flips, so that a shape too large to
-    scan is refused before building it could exhaust memory."""
+    the shape's default. Their scans are checked from the shape's box
+    before a family shape is built or anything is printed, so that a shape
+    too large to scan is refused before building it exhausts memory."""
     if args.shape_file:
         if args.shape not in (None, "custom"):
             parser.error(f"--shape-file cannot be combined with shape '{args.shape}'")
@@ -116,6 +113,7 @@ def _resolve_shape(args, parser, every_flip=False):
         except shapes.ShapeFormatError as exc:
             parser.error(f"{args.shape_file}: {exc}")
         spec = shapes.ShapeSpec("custom", name=args.shape_file)
+        box, count = Box.of(coins), len(coins)
     else:
         if args.shape is None:
             parser.error("a shape (or --shape-file) is required")
@@ -127,14 +125,13 @@ def _resolve_shape(args, parser, every_flip=False):
             spec = shapes.ShapeSpec(args.shape, size=args.size)
         except ValueError as exc:
             parser.error(str(exc))
+        box, count = spec.family.box(spec.size), spec.family.coin_count(spec.size)
     if every_flip:
         flips = tuple(FlipKind)
     else:
         flips = (FLIP_NAMES[args.flip] if args.flip else shapes.default_flip(spec),)
+    _check_scans(box, count, flips)
     if spec.family:
-        pairs = spec.family.coin_count(spec.size) ** 2
-        for flip in flips:
-            kernel_for(_family_grid(spec, flip), pairs)
         coins = shapes.build(spec)
     return spec, coins, flips
 
@@ -222,7 +219,10 @@ def _verify_fail(n: int, what: str, detail: str) -> int:
 
 def run_verify(max_rows: int) -> int:
     """Formula-vs-oracle sweep over the puzzle families; stops with a
-    counterexample dump on mismatch."""
+    counterexample dump on mismatch. Checks its last, largest row's scans first."""
+    for family in PUZZLES.values():
+        flips = (family.default_flip, *family.cross_check_flips)
+        _check_scans(family.box(max_rows), family.coin_count(max_rows), flips)
     for n in range(1, max_rows + 1):
         done = []
         for family in PUZZLES.values():
@@ -274,9 +274,8 @@ def cmd_analyze(args, parser) -> int:
     spec, coins, flips = _resolve_shape(args, parser, every_flip=True)
     print(f"shape: {spec.label()}")
     print(f"total coins: {len(coins)}")
-    a_lo, a_hi = min(c.a for c in coins), max(c.a for c in coins)
-    b_lo, b_hi = min(c.b for c in coins), max(c.b for c in coins)
-    print(f"coordinate ranges: a {a_lo}..{a_hi}, b {b_lo}..{b_hi}")
+    box = Box.of(coins)
+    print(f"coordinate ranges: a {box.a_lo}..{box.a_hi}, b {box.b_lo}..{box.b_hi}")
     components = connected_components(coins)
     print(f"connected components: {len(components)}")
     for i, comp in enumerate(components):

@@ -5,10 +5,10 @@ in the plane, so two coins of diameter 1 touch exactly when their squared
 distance a*a + a*b + b*b equals 1. Everything here is exact integer
 arithmetic; the float embedding exists only for drawing.
 
-A coin is a `Coord`, built once where it enters the program (a shape
-generator or the shape-file parser). Public functions accept any iterable
-of (a, b) pairs: a frozenset of Coord is used as it is, anything else is
-converted once by `as_coin_set`. Every coin they return is a Coord. Work
+A coin is a `Coord`, built once where it enters the program (`Box.points`
+or the shape-file parser). Public functions accept any iterable of (a, b)
+pairs: a frozenset of Coord is used as it is, anything else is converted
+once by `as_coin_set`. Every coin they return is a Coord. Work
 that never leaves a function (a flipped image fed to the scan, neighbour
 probes) uses plain tuples, which hash and compare like Coords at a
 fraction of the cost to build.
@@ -78,6 +78,58 @@ _FLIP_MATRICES = {
     FlipKind.MIRROR_HORIZONTAL: (-1, -1, 0, 1),  # embedded x negated, y kept
     FlipKind.MIRROR_VERTICAL: (1, 1, 0, -1),  # embedded y negated, x kept
 }
+
+
+# Box bound indices of the axes a, b and a + b: as (ca, cb), the
+# coefficients of a and b.
+_AXES = {(1, 0): 0, (0, 1): 2, (1, 1): 4}
+
+
+class Box(NamedTuple):
+    """The lattice points with a_lo <= a <= a_hi, b_lo <= b <= b_hi and
+    s_lo <= a + b <= s_hi, where some point reaches every bound.
+
+    Triangles, rhombi and hexagons are boxes, and every flip maps a box
+    to a box. `Box.of(points)` is the box hull of any point set.
+    """
+
+    a_lo: int
+    a_hi: int
+    b_lo: int
+    b_hi: int
+    s_lo: int
+    s_hi: int
+
+    @classmethod
+    def of(cls, points) -> Box:
+        """The least box holding every point of a nonempty set."""
+        a_s, b_s = zip(*points)
+        sums = list(map(add, a_s, b_s))
+        return cls(min(a_s), max(a_s), min(b_s), max(b_s), min(sums), max(sums))
+
+    def flip(self, flip: FlipKind) -> Box:
+        """The box of this box's image under `flip`. Each flipped axis,
+        p*a + q*b, r*a + s*b and their sum, is ±a, ±b or ±(a + b), so its
+        bounds are those of one axis here, negated if need be."""
+        p, q, r, s = _FLIP_MATRICES[flip]
+        return Box(*self._axis(p, q), *self._axis(r, s), *self._axis(p + r, q + s))
+
+    def _axis(self, ca: int, cb: int) -> tuple[int, int]:
+        """The least and greatest ca*a + cb*b over the box."""
+        if (ca, cb) in _AXES:
+            i = _AXES[ca, cb]
+            return self[i], self[i + 1]
+        i = _AXES[-ca, -cb]
+        return -self[i + 1], -self[i]
+
+    def points(self) -> CoinSet:
+        """The box's coins."""
+        a_lo, a_hi, b_lo, b_hi, s_lo, s_hi = self
+        return frozenset(
+            _coord((a, b))
+            for b in range(b_lo, b_hi + 1)
+            for a in range(max(a_lo, s_lo - b), min(a_hi, s_hi - b) + 1)
+        )
 
 
 def flip_points(coins, flip: FlipKind, shift=(0, 0)) -> list[tuple[int, int]]:

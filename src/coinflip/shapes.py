@@ -1,4 +1,4 @@
-"""Coin shape generators, the table of generated families, and the shape
+"""The table of generated shape families, their shapes, and the shape
 file format."""
 
 from __future__ import annotations
@@ -7,7 +7,7 @@ import re
 from typing import Callable, NamedTuple
 
 from coinflip import formulas
-from coinflip.lattice import Coord, FlipKind
+from coinflip.lattice import Box, Coord, FlipKind
 
 # The shape-file integer grammar. int() alone would also take "1_0", "+3"
 # and non-ASCII digits.
@@ -20,34 +20,6 @@ class ShapeFormatError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
-
-
-def triangle_up(n: int) -> frozenset:
-    """Upward triangle of n rows: 1 coin on top, n on the bottom edge."""
-    if n < 1:
-        raise ValueError(f"triangle needs at least 1 row, got {n}")
-    return frozenset(Coord(a, b) for b in range(n) for a in range(n - b))
-
-
-def rhombus(n: int) -> frozenset:
-    """Right-leaning rhombus with n coins on each side (n*n total)."""
-    if n < 1:
-        raise ValueError(f"rhombus needs at least 1 row, got {n}")
-    return frozenset(Coord(a, b) for a in range(n) for b in range(n))
-
-
-def hexagon(k: int) -> frozenset:
-    """Centered hexagon of side k: 3k^2 - 3k + 1 coins, symmetric under
-    180-degree rotation."""
-    if k < 1:
-        raise ValueError(f"hexagon needs side at least 1, got {k}")
-    r = k - 1
-    return frozenset(
-        Coord(a, b)
-        for a in range(-r, r + 1)
-        for b in range(-r, r + 1)
-        if abs(a + b) <= r
-    )
 
 
 def load_custom(source: str) -> frozenset:
@@ -91,9 +63,9 @@ def serialize(coins) -> str:
 
 
 class Family(NamedTuple):
-    """One generated shape family: its shapes, the flip its puzzle asks
-    for, and, for the paper's two puzzles, the move-count formulas and
-    their table.
+    """One generated shape family: the box of each size, the flip its
+    puzzle asks for, and, for the paper's two puzzles, the move-count
+    formulas and their table.
 
     The formulas are `coinflip.formulas.{name}_moves_{old,new,polynomial}`,
     looked up when `formula` is called, so a patched module function is
@@ -101,11 +73,8 @@ class Family(NamedTuple):
     """
 
     name: str
-    generator: Callable[[int], frozenset]
-    coin_count: Callable[[int], int]  # len(generator(n))
-    # The vertices of generator(n)'s convex hull. Every flip is linear, so
-    # the extremes of a flipped shape's coordinates lie at these too.
-    corners: Callable[[int], list[tuple[int, int]]]
+    box: Callable[[int], Box]  # shape n is box(n).points()
+    coin_count: Callable[[int], int]  # len(box(n).points())
     default_flip: FlipKind = FlipKind.ROTATE_180
     # Puzzle families only (the rest keep these defaults):
     protrusion_arity: int | None = None  # protruding triangles per solution
@@ -129,9 +98,8 @@ FAMILIES = {
     for family in (
         Family(
             "triangle",
-            triangle_up,
+            lambda n: Box(0, n - 1, 0, n - 1, 0, n - 1),
             lambda n: formulas.triangular(n),
-            lambda n: [(0, 0), (n - 1, 0), (0, n - 1)],
             protrusion_arity=3,
             divisor=3,
             old_column="old_formula",
@@ -139,9 +107,8 @@ FAMILIES = {
         ),
         Family(
             "rhombus",
-            rhombus,
+            lambda n: Box(0, n - 1, 0, n - 1, 0, 2 * n - 2),
             lambda n: n * n,
-            lambda n: [(0, 0), (n - 1, 0), (0, n - 1), (n - 1, n - 1)],
             default_flip=FlipKind.MIRROR_HORIZONTAL,
             protrusion_arity=2,
             cross_check_flips=(FlipKind.MIRROR_VERTICAL,),
@@ -150,11 +117,8 @@ FAMILIES = {
         ),
         Family(
             "hexagon",
-            hexagon,
+            lambda k: Box(1 - k, k - 1, 1 - k, k - 1, 1 - k, k - 1),
             lambda k: 3 * k * k - 3 * k + 1,
-            lambda k: [
-                (k - 1, 0), (0, k - 1), (1 - k, k - 1), (1 - k, 0), (0, 1 - k), (k - 1, 1 - k)
-            ],
         ),
     )
 }
@@ -198,7 +162,23 @@ def build(spec: ShapeSpec) -> frozenset:
     """Generate the coin set for a non-custom spec."""
     if spec.family is None:
         raise ValueError("custom shapes are loaded from a file, not generated")
-    return spec.family.generator(spec.size)
+    return spec.family.box(spec.size).points()
+
+
+def triangle_up(n: int) -> frozenset:
+    """Upward triangle of n rows: 1 coin on top, n on the bottom edge."""
+    return build(ShapeSpec("triangle", n))
+
+
+def rhombus(n: int) -> frozenset:
+    """Right-leaning rhombus with n coins on each side (n*n total)."""
+    return build(ShapeSpec("rhombus", n))
+
+
+def hexagon(k: int) -> frozenset:
+    """Centered hexagon of side k: 3k^2 - 3k + 1 coins, symmetric under
+    180-degree rotation."""
+    return build(ShapeSpec("hexagon", k))
 
 
 def default_flip(spec: ShapeSpec) -> FlipKind:

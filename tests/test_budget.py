@@ -19,6 +19,7 @@ from coinflip._scan import (
     MAX_SCAN_NS,
     Grid,
     ScanBudgetError,
+    box_grid,
     counter_bytes,
     counter_scan,
     estimate_ns,
@@ -26,8 +27,8 @@ from coinflip._scan import (
     prefers_product,
     scan_pairs,
 )
-from coinflip.lattice import FlipKind, flip_points
-from coinflip.shapes import FAMILIES, ShapeSpec, hexagon, rhombus, triangle_up
+from coinflip.lattice import Box, FlipKind, flip_points
+from coinflip.shapes import FAMILIES, ShapeSpec, build, hexagon, rhombus, triangle_up
 
 
 def triangle_grid(n):
@@ -43,14 +44,16 @@ def test_triangle_grid_matches_grid_of():
         grid, pairs = triangle_grid(n)
         assert grid_of(list(start), flip_points(start, FlipKind.ROTATE_180)) == grid
         assert pairs == len(start) ** 2
-    # the CLI's pre-build check reads every family's grid off its corners
+    # the CLI's pre-build check reads every family's grid off its box
     for name, family in FAMILIES.items():
         for n in range(1, 41):
-            coins = family.generator(n)
-            assert len(coins) == family.coin_count(n)
+            coins = build(ShapeSpec(name, n))
+            box = family.box(n)
+            assert Box.of(coins) == box
+            assert family.coin_count(n) == len(coins)
             for flip in FlipKind:
                 built = grid_of(list(coins), flip_points(coins, flip))
-                assert cli._family_grid(ShapeSpec(name, n), flip) == built
+                assert box_grid(box, box.flip(flip), len(coins)) == built
 
 
 def test_dense_fall_off_starts_at_1025_rows():
@@ -204,3 +207,27 @@ def test_cli_refuses_a_scan_over_the_memory_cap(capsys, monkeypatch, tmp_path):
         "coinflip: error: the translation scan would need about 172 GiB of memory "
         "(1444000000 coin pairs), over the cap of 2 GiB\n"
     )
+
+
+def test_analyze_refuses_an_over_budget_file_before_any_output(capsys, monkeypatch, tmp_path):
+    # 5000 coins scattered over ±2^40: 2.5e7 pairs, within the time budget,
+    # but about 3 GiB of Counter keys under the half-turn, the first flip
+    rng = random.Random(40)
+    coins = {(rng.randint(-(2**40), 2**40), rng.randint(-(2**40), 2**40)) for _ in range(5000)}
+    path = tmp_path / "scatter.txt"
+    path.write_text("".join(f"{a} {b}\n" for a, b in coins))
+    refuse_to_scan(monkeypatch)
+
+    def components(coins):
+        raise AssertionError("analyze reported on a shape it then refused")
+
+    monkeypatch.setattr(cli, "connected_components", components)
+    with pytest.raises(ScanBudgetError) as scan:
+        scan_pairs(list(coins), flip_points(coins, FlipKind.ROTATE_180))
+    assert scan.value.estimate_bytes > MAX_SCAN_BYTES
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--shape-file", str(path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(f"coinflip: error: {scan.value}\n")

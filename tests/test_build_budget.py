@@ -1,15 +1,15 @@
-"""A family shape too large to scan is refused from its hull corners,
-before a single coin is built.
+"""A family shape too large to scan is refused from its box, before a
+single coin is built, and so is a `verify` sweep whose last row is.
 
 No test here builds a large shape or starts a scan: the CLI tests replace
-the shape builder with a stub that fails, and the size tests read only
-the corner grid of each family.
+the shape builder (and, for `verify`, the solver) with a stub that fails,
+and the size tests read only the box of each family.
 """
 
 import pytest
 
 from coinflip import cli, shapes
-from coinflip._scan import ScanBudgetError, kernel_for
+from coinflip._scan import ScanBudgetError
 from coinflip.lattice import FlipKind
 
 USAGE = "usage: coinflip [-h] {solve,table,render,verify,analyze} ...\n"
@@ -73,11 +73,34 @@ def test_cli_checks_only_the_flip_it_will_solve(monkeypatch):
     assert exc.value.code == 2
 
 
+def test_verify_checks_its_last_row_before_its_first(capsys, monkeypatch):
+    # rhombus 837 is the first row over budget (its mirrors); without the
+    # up-front check the sweep would scan rows 1-836 for about 12 h first
+    refuse_to_build(monkeypatch)
+
+    def solve(coins, flip):
+        raise AssertionError("verify solved a row before checking its last")
+
+    monkeypatch.setattr(cli.oracle, "solve", solve)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "837"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        USAGE + "coinflip: error: the translation scan would take about 1.96e+05 s "
+        "(490796923761 coin pairs), over the budget of 600 s\n"
+    )
+    # one row fewer passes the check and starts building row 1
+    with pytest.raises(Built) as built:
+        cli.main(["verify", "836"])
+    assert built.value.args == (shapes.ShapeSpec("triangle", 1),)
+
+
 def refused(name, n, flip):
     family = shapes.FAMILIES[name]
-    grid = cli._family_grid(shapes.ShapeSpec(name, n), flip)
     try:
-        kernel_for(grid, family.coin_count(n) ** 2)
+        cli._check_scans(family.box(n), family.coin_count(n), (flip,))
     except ScanBudgetError:
         return True
     return False

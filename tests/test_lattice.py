@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coinflip.lattice import (
+    Box,
     Coord,
     FlipKind,
     NEIGHBOR_OFFSETS,
@@ -11,6 +12,7 @@ from coinflip.lattice import (
     connected_components,
     distance_sq,
     embed,
+    flip_points,
     flip_set,
     translate,
     triangle_number_index,
@@ -208,3 +210,27 @@ def test_classify_triangle_agrees_with_distance_check(k, da, db, flipped):
     placed = translate(tri, (da, db))
     assert classify_triangle(placed) is not None
     assert _congruent_to_some_triangle(placed)
+
+
+lines = st.builds(
+    lambda start, step, length: frozenset(
+        Coord(start.a + i * step.a, start.b + i * step.b) for i in range(length)
+    ),
+    coords,
+    st.sampled_from(NEIGHBOR_OFFSETS),
+    st.integers(1, 12),
+)
+
+
+@given(st.one_of(point_sets, lines))
+def test_box_is_the_hull_that_every_flip_maps(points):
+    box = Box.of(points)
+    assert points <= box.points()
+    assert Box.of(box.points()) == box  # some point reaches every bound
+    for kind in FlipKind:
+        assert Box.of(flip_points(points, kind)) == box.flip(kind)
+
+
+def test_box_of_nothing_is_refused():
+    with pytest.raises(ValueError):
+        Box.of([])
