@@ -5,7 +5,8 @@ of point pairs (s, f) with s = f + t. Any translation outside the
 difference set s - f has overlap 0, and for nonempty inputs some
 translation reaches overlap >= 1, so the maximum over the difference set
 is the maximum over all translations. Two pure-Python kernels compute it
-exactly and return identical results:
+exactly and return identical results. Each takes two nonempty collections
+of distinct points and their `Grid`, as `scan_pairs` passes them:
 
 - `counter_scan`, the reference kernel: Counters over the differences of
   all |S|·|F| pairs, one ascending band of shift keys at a time, so that
@@ -200,7 +201,7 @@ class ScanBudgetError(ValueError):
         super().__init__(f"the translation scan would {cost} ({pairs} coin pairs), over {cap}")
 
 
-def counter_scan(start, flipped, grid=None):
+def counter_scan(start, flipped, grid: Grid):
     """Reference kernel: count the shift key of every pair, one band of
     keys at a time.
 
@@ -219,10 +220,9 @@ def counter_scan(start, flipped, grid=None):
     space, not pairs: a shape whose pairs crowd into one band still holds
     them all, as does a scan in which every key ties (see counter_bytes).
     """
-    g = grid or grid_of(start, flipped)
-    width = g.width
-    ks = sorted((a - g.start_a) * width + b - g.start_b for a, b in start)
-    kfs = sorted((g.flipped_a - a) * width + g.flipped_b - b for a, b in flipped)
+    width = grid.width
+    ks = sorted((a - grid.start_a) * width + b - grid.start_b for a, b in start)
+    kfs = sorted((grid.flipped_a - a) * width + grid.flipped_b - b for a, b in flipped)
     first, end = ks[0] + kfs[0], ks[-1] + kfs[-1] + 1
     bands = -(-len(ks) * len(kfs) // BAND_PAIRS)
     step = -(-(end - first) // bands)
@@ -249,7 +249,7 @@ def counter_scan(start, flipped, grid=None):
     return best, keys
 
 
-def product_scan(start, flipped, grid=None):
+def product_scan(start, flipped, grid: Grid):
     """Kronecker-substitution kernel: one big-integer product.
 
     Start coins go to cell (a - min_a)·width + (b - min_b) of one grid and
@@ -258,19 +258,15 @@ def product_scan(start, flipped, grid=None):
     product counts the pairs of one shift key, and the tied cells are found
     in ascending key order.
     """
-    g = grid or grid_of(start, flipped)
-    nb, width = g.cell_bytes, g.width
-    s = bytearray(nb * width * g.start_rows)
+    nb, width = grid.cell_bytes, grid.width
+    s = bytearray(nb * width * grid.start_rows)
     for a, b in start:
-        s[nb * ((a - g.start_a) * width + b - g.start_b)] = 1
-    f = bytearray(nb * width * g.flipped_rows)
+        s[nb * ((a - grid.start_a) * width + b - grid.start_b)] = 1
+    f = bytearray(nb * width * grid.flipped_rows)
     for a, b in flipped:
-        f[nb * ((g.flipped_a - a) * width + g.flipped_b - b)] = 1
-    if s.count(1) != len(start) or f.count(1) != len(flipped):
-        # A repeated point: 0/1 cells cannot hold its multiplicity.
-        return counter_scan(start, flipped, g)
+        f[nb * ((grid.flipped_a - a) * width + grid.flipped_b - b)] = 1
     product = int.from_bytes(s, "little") * int.from_bytes(f, "little")
-    counts = array(_TYPECODES[nb], product.to_bytes(nb * g.cells, "little"))
+    counts = array(_TYPECODES[nb], product.to_bytes(nb * grid.cells, "little"))
     if sys.byteorder == "big":
         counts.byteswap()
     best = max(counts)
@@ -308,7 +304,7 @@ def kernel_for(grid: Grid, pairs: int):
 def scan_pairs(start, flipped):
     """Best overlap over all translations of `flipped` onto `start`.
 
-    Both arguments are sequences of (a, b) integer pairs. Returns
+    Both arguments are nonempty collections of distinct (a, b) pairs. Returns
     (max_overlap, keys, grid): the sorted keys of every shift achieving
     the maximum, which `grid.shift` decodes. Raises ScanBudgetError, before
     either kernel allocates anything, when `kernel_for` refuses the scan.

@@ -1,13 +1,15 @@
 """coinflip command line: solve, table, render, verify, analyze.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error, or
+Exit codes: 0 success; 1 verification failure; 2 usage or parse error, or
 a scan refused as over budget (see coinflip._scan.MAX_SCAN_NS and
-MAX_SCAN_BYTES).
+MAX_SCAN_BYTES); 141 stdout closed by its reader before the output ended,
+the status a shell reports for a writer killed by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Iterable, Iterator
 
@@ -17,22 +19,23 @@ from coinflip.lattice import Box, FlipKind, classify_triangle, connected_compone
 
 FLIP_NAMES = {f.value: f for f in FlipKind}
 PUZZLES = {name: f for name, f in shapes.FAMILIES.items() if f.is_puzzle}
+_DECIMAL_DIGITS = 10
 
 
 # -- tables -------------------------------------------------------------------
 
 
-def exact_div_text(numerator: int, divisor: int, max_digits: int = 10) -> str:
+def exact_div_text(numerator: int, divisor: int) -> str:
     """Exact decimal rendering of numerator/divisor.
 
     Terminating expansions print in full ("0.25"); non-terminating ones
-    are cut at max_digits ("0.3333333333"). Integers print bare.
+    are cut at _DECIMAL_DIGITS ("0.3333333333"). Integers print bare.
     """
     q, r = divmod(numerator, divisor)
     if r == 0:
         return str(q)
-    digits, rest = divmod(r * 10**max_digits, divisor)
-    text = str(digits).zfill(max_digits)
+    digits, rest = divmod(r * 10**_DECIMAL_DIGITS, divisor)
+    text = str(digits).zfill(_DECIMAL_DIGITS)
     # a terminating expansion ends at its last nonzero digit
     return f"{q}." + (text if rest else text.rstrip("0"))
 
@@ -110,7 +113,7 @@ def _resolve_shape(args, parser, every_flip=False):
                 coins = shapes.load_custom(fh.read())
         except OSError as exc:
             parser.error(f"cannot read shape file: {exc}")
-        except shapes.ShapeFormatError as exc:
+        except (shapes.ShapeFormatError, UnicodeDecodeError) as exc:
             parser.error(f"{args.shape_file}: {exc}")
         spec = shapes.ShapeSpec("custom", name=args.shape_file)
         box, count = Box.of(coins), len(coins)
@@ -376,9 +379,19 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()
+        return code
     except ScanBudgetError as exc:
         parser.error(str(exc))
+    except BrokenPipeError:
+        # The reader closed stdout. Send what is still buffered to devnull,
+        # so that the flush at exit does not fail again, and exit as a
+        # writer killed by SIGPIPE would (1 means a verify failure).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

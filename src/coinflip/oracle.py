@@ -163,7 +163,7 @@ def solve(start, flip: FlipKind) -> OverlapResult:
     start = as_coin_set(start)
     if not start:
         raise ValueError("cannot solve an empty coin set")
-    best, keys, grid = _scan.scan_pairs(list(start), flip_points(start, flip))
+    best, keys, grid = _scan.scan_pairs(start, flip_points(start, flip))
     return OverlapResult(
         total_coins=len(start),
         max_overlap=best,

@@ -30,8 +30,9 @@ def tuple_counter(start, flipped):
 
 def decoded(start, flipped):
     """counter_scan's best and tied shifts, its keys decoded by grid_of."""
-    best, keys = counter_scan(start, flipped)
-    return best, list(map(grid_of(start, flipped).shift, keys))
+    grid = grid_of(start, flipped)
+    best, keys = counter_scan(start, flipped, grid)
+    return best, list(map(grid.shift, keys))
 
 
 def banded(band_pairs, start, flipped):
@@ -63,7 +64,8 @@ def test_an_earlier_best_outlasts_later_ties():
 
 
 def test_repeated_points_in_one_key_per_band():
-    # the product kernel's fallback case, with every band one key wide
+    # every band one key wide; the reference kernel counts pairs, so a
+    # repeated point, which no caller passes, still counts each time
     start, flipped = [(0, 0), (0, 0), (1, 0)], [(-1, 0), (0, 0)]
     for band_pairs in (1, 2, 3, 6):
         assert banded(band_pairs, start, flipped) == (3, [(1, 0)])
@@ -101,9 +103,10 @@ def test_the_counter_holds_one_band_at_a_time():
     start = symmetric_far_flung(300, 11)
     flipped = flip_points(start, FlipKind.ROTATE_180)
     assert len(start) ** 2 > 5 * BAND_PAIRS
+    grid = grid_of(start, flipped)
     tracemalloc.start()
     try:
-        best, keys = counter_scan(start, flipped)
+        best, keys = counter_scan(start, flipped, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

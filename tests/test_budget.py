@@ -135,12 +135,10 @@ def test_large_far_flung_shapes_are_over_the_memory_cap():
 
 
 def test_the_memory_cap_refuses_nothing_the_product_accepts():
-    # the product's largest grids, at each cell width; its fallback to the
-    # Counter (repeated points) holds at most one key per cell
+    # the product's largest grids, at each cell width
     for cell_bytes in (1, 2, 4):
         grid = Grid(MAX_GRID_BYTES // cell_bytes, 1, 1, 0, 0, 0, 0, cell_bytes=cell_bytes)
         assert prefers_product(grid, 10**15)
-        assert counter_bytes(grid, 10**15) <= MAX_SCAN_BYTES
 
 
 def test_tested_and_benchmarked_scans_are_far_below_the_memory_cap():
@@ -161,15 +159,16 @@ def test_the_estimate_bounds_a_one_band_scan():
     start = sorted({(rng.randrange(1 << 40), rng.randrange(1 << 40)) for _ in range(300)})
     flipped = flip_points(start, FlipKind.MIRROR_HORIZONTAL)
     pairs = len(start) * len(flipped)
+    grid = grid_of(start, flipped)
     with patch.object(_scan, "BAND_PAIRS", pairs):
         tracemalloc.start()
         try:
-            best, keys = counter_scan(start, flipped)
+            best, keys = counter_scan(start, flipped, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert best == 1 and len(keys) == pairs
-    estimate = counter_bytes(grid_of(start, flipped), pairs)
+    estimate = counter_bytes(grid, pairs)
     assert estimate / 2 < peak <= estimate
 
 

@@ -272,6 +272,20 @@ def test_malformed_shape_file_reports_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_a_shape_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"0 0\n1 \xff\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--shape-file", str(path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 6: "
+        "invalid start byte\n"
+    )
+
+
 @pytest.mark.parametrize("field", ["1_0", "+3", "\u0661"])
 def test_shape_file_integers_are_plain_ascii(capsys, tmp_path, field):
     text = f"0 0\n{field} 1\n"

@@ -77,3 +77,40 @@ def test_module_usage_errors_match_the_full_parser(capsys, monkeypatch, argv):
     out = python("-m", "coinflip", *argv)
     assert out.returncode == 2
     assert out.stderr == expected
+
+
+def buffered_cli(*argv, **kwargs):
+    """`python -m coinflip` as a shell pipeline runs it: stdout buffered,
+    stderr captured."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.Popen(
+        [sys.executable, "-m", "coinflip", *argv], env=env, stderr=subprocess.PIPE, **kwargs
+    )
+
+
+def test_a_reader_that_stops_early_ends_the_output_quietly():
+    # as `coinflip table ... | head -2`: the table's 3.8 MB are far more
+    # than the pipe holds, so the writer is still going when head exits
+    argv = ["table", "triangle", "50000", "--format", "csv"]
+    with buffered_cli(*argv, stdout=subprocess.PIPE) as proc:
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert head == [b"rows,total_coins,old_formula,moves,increment,decomposition\n",
+                    b'1,1,0.3333333333,0,,"0 + 0 + 0"\n']
+    assert proc.returncode == 141
+    assert err == b""
+
+
+def test_output_to_a_closed_reader_is_dropped_quietly():
+    # every line fits the stdout buffer, so the write fails at its flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with buffered_cli("solve", "triangle", "4", stdout=write_end) as proc:
+            err = proc.stderr.read()
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert err == b""
