@@ -26,7 +26,7 @@ has key (a - min_a S)·H + (b - min_b S), a flipped point
 The product kernel's grid is this layout itself, one row of H cells per
 a, so a cell's index is its key. Both kernels return the tied keys,
 sorted; the layout stays in this module, and callers decode a key with
-`Grid.shift` and encode a shift with `Grid.key`.
+`Grid.shift`.
 
 `scan_pairs` reads both bounding boxes into a `Grid` and runs the kernel
 that `kernel_for` picks from the grid and the pair count: the cheaper
@@ -114,15 +114,6 @@ class Grid(NamedTuple):
         """The shift (da, db) that `key` names."""
         da, db = divmod(key, self.width)
         return (self.start_a - self.flipped_a + da, self.start_b - self.flipped_b + db)
-
-    def key(self, shift) -> int | None:
-        """The key of `shift`, or None when db - b0 falls outside
-        [0, width), where the key would alias another shift's."""
-        da, db = shift
-        db -= self.start_b - self.flipped_b
-        if not 0 <= db < self.width:
-            return None
-        return (da - self.start_a + self.flipped_a) * self.width + db
 
 
 def cell_bytes(most: int) -> int:

@@ -15,8 +15,12 @@ bounding boxes picks between them per call.
 Both kernels name each shift by one integer key, and ascending keys are
 ascending (da, db). A far-flung shape can tie hundreds of thousands of
 shifts, so solve() keeps the sorted keys with the scan's `_scan.Grid`,
-and `Placements` decodes a placement through that grid (`Grid.shift`,
-`Grid.key`) only when it is read. The key layout stays in `_scan`.
+and `Placements` decodes a placement through that grid (`Grid.shift`)
+only when it is read. The key layout stays in `_scan`.
+
+Both kernels are exact, so a placement under the solved flip is optimal
+exactly when it moves min_moves coins; protrusions() and move_plan()
+check that count, not the keys.
 
 Coin inputs may be any iterable of (a, b) pairs. A frozenset of Coord,
 as the shape generators and the shape-file parser return it, is used as
@@ -28,7 +32,6 @@ Coord.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import islice
 from operator import eq
@@ -65,10 +68,11 @@ class Placement(NamedTuple):
 class Placements(Sequence):
     """Read-only sequence of the optimal placements of one flip, ascending
     by shift. It holds the scan's sorted tie keys, and each Placement is
-    decoded through `grid` when it is read; membership is a binary search.
-    Compares equal to a tuple of the same placements, and hashes like one.
-    It can be weakly referenced, so that a caller can check that the tie
-    keys it holds have been freed."""
+    decoded through `grid` when it is read; a slice is another Placements
+    (descending under a negative step), and `in` scans. Compares equal to a
+    tuple of the same placements, and hashes like one. It can be weakly
+    referenced, so that a caller can check that the tie keys it holds have
+    been freed."""
 
     __slots__ = ("flip", "keys", "grid", "__weakref__")
 
@@ -78,24 +82,15 @@ class Placements(Sequence):
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __getitem__(self, i) -> Placement:
+    def __getitem__(self, i) -> Placement | Placements:
+        if isinstance(i, slice):
+            return Placements(self.flip, self.keys[i], self.grid)
         return Placement(self.flip, self.grid.shift(self.keys[i]))
 
     def __iter__(self):
         flip = self.flip
         for shift in map(self.grid.shift, self.keys):
             yield Placement(flip, shift)
-
-    def __contains__(self, placement) -> bool:
-        try:
-            flip, shift = placement
-            key = self.grid.key(shift)
-        except (TypeError, ValueError):
-            return False
-        if flip != self.flip or key is None:
-            return False
-        i = bisect_left(self.keys, key)
-        return i < len(self.keys) and self.keys[i] == key
 
     def __eq__(self, other):
         if not isinstance(other, (Placements, tuple)):
@@ -177,11 +172,21 @@ def solve(start, flip: FlipKind) -> OverlapResult:
 _SHIFTS_SHOWN = 5
 
 
-def _require_optimal(start, placement, result):
+def _optimal_sets(start, placement, result):
+    """The placement's target set and the start coins that move to it,
+    after checking that it is optimal: it moves min_moves coins under the
+    result's flip."""
     if result is None:
         result = solve(start, placement.flip)
     optimal = result.optimal_placements
-    if placement not in optimal:
+    if placement.flip != optimal.flip:
+        raise ValueError(
+            f"placement {placement} is not optimal: the result is for flip "
+            f"{optimal.flip.value}"
+        )
+    target = target_set(start, placement)
+    source = start - target
+    if len(source) != result.min_moves:
         shown = ", ".join(str(p.shift) for p in islice(optimal, _SHIFTS_SHOWN))
         if len(optimal) > _SHIFTS_SHOWN:
             shown += ", ..."
@@ -189,7 +194,7 @@ def _require_optimal(start, placement, result):
             f"placement {placement} is not optimal; the {len(optimal)} "
             f"optimal shifts are [{shown}]"
         )
-    return result
+    return target, source
 
 
 def _as_components(coins) -> tuple[Component, ...]:
@@ -216,9 +221,8 @@ def protrusions(
     is rejected if it is not one of the optimal ones.
     """
     start = as_coin_set(start)
-    _require_optimal(start, placement, result)
-    target = target_set(start, placement)
-    source_components = _as_components(start - target)
+    target, source = _optimal_sets(start, placement, result)
+    source_components = _as_components(source)
     target_components = _as_components(target - start)
     sizes = sorted((c.size for c in source_components), reverse=True)
     if expected_parts is not None:
@@ -246,8 +250,7 @@ def move_plan(
     pairing costs the same number of moves, this one is just canonical.
     """
     start = as_coin_set(start)
-    _require_optimal(start, placement, result)
-    target = target_set(start, placement)
-    froms = sorted(start - target)
+    target, source = _optimal_sets(start, placement, result)
+    froms = sorted(source)
     tos = sorted(target - start)
     return MovePlan(moves=tuple(zip(froms, tos)))

@@ -9,9 +9,10 @@ from typing import Callable, NamedTuple
 from coinflip import formulas
 from coinflip.lattice import Box, Coord, FlipKind
 
-# The shape-file integer grammar. int() alone would also take "1_0", "+3"
-# and non-ASCII digits.
-_INTEGER = re.compile(r"-?[0-9]+")
+# The shape-file line grammar, once the line's padding is stripped. int()
+# alone would also take "1_0", "+3" and non-ASCII digits, and str.split()
+# and str.strip() every Unicode blank, such as a form feed or an NBSP.
+_COORDS = re.compile(r"(-?[0-9]+)[ \t]+(-?[0-9]+)")
 
 
 class ShapeFormatError(ValueError):
@@ -25,22 +26,23 @@ class ShapeFormatError(ValueError):
 def load_custom(source: str) -> frozenset:
     """Parse shape file text: one `a b` coordinate pair per line.
 
-    Each coordinate is an optional minus sign and ASCII digits.
+    Each coordinate is an optional minus sign and ASCII digits. The two
+    are separated by ASCII spaces or tabs, which may also pad the line.
 
     Lines starting with `#` are comments; blank lines are ignored; CRLF is
     accepted. Duplicate coordinates and empty shapes are rejected.
     """
     coins: dict[Coord, int] = {}
     for lineno, raw in enumerate(source.split("\n"), start=1):
-        line = raw.rstrip("\r").strip()
+        line = raw.rstrip("\r").strip(" \t")
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
+        fields = _COORDS.fullmatch(line)
         try:
-            if len(parts) != 2 or not all(map(_INTEGER.fullmatch, parts)):
+            if fields is None:
                 raise ValueError
             # int() still refuses numbers past its digit limit
-            coord = Coord(int(parts[0]), int(parts[1]))
+            coord = Coord(int(fields[1]), int(fields[2]))
         except ValueError:
             raise ShapeFormatError(
                 f"expected two integers `a b`, got {line!r}", lineno

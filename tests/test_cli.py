@@ -286,9 +286,7 @@ def test_a_shape_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
     )
 
 
-@pytest.mark.parametrize("field", ["1_0", "+3", "\u0661"])
-def test_shape_file_integers_are_plain_ascii(capsys, tmp_path, field):
-    text = f"0 0\n{field} 1\n"
+def refuses_line_2(capsys, tmp_path, text):
     with pytest.raises(ShapeFormatError, match="line 2"):
         load_custom(text)
     path = tmp_path / "shape.txt"
@@ -296,6 +294,19 @@ def test_shape_file_integers_are_plain_ascii(capsys, tmp_path, field):
     code, err = run_error(capsys, ["solve", "--shape-file", str(path)])
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("field", ["1_0", "+3", "\u0661"])
+def test_shape_file_integers_are_plain_ascii(capsys, tmp_path, field):
+    refuses_line_2(capsys, tmp_path, f"0 0\n{field} 1\n")
+
+
+# str.split() and str.strip() take each of these blanks as a space
+@pytest.mark.parametrize(
+    "line", ["1\xa02", "1\x0c0", "\u30001 2", "1\x1f2", "1 2\x85", "\xa0"]
+)
+def test_shape_file_blanks_are_ascii_spaces_and_tabs(capsys, tmp_path, line):
+    refuses_line_2(capsys, tmp_path, f"0 0\n{line}\n")
 
 
 def test_nonpositive_sizes_are_usage_errors(capsys):

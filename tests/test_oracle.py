@@ -309,6 +309,10 @@ def check_against_a_tuple_counter(points, flip, data):
     assert placements[0] == placed[0] and placements[-1] == placed[-1]
     i = data.draw(st.integers(-len(expected), len(expected) - 1))
     assert placements[i] == placed[i]
+    bound = st.none() | st.integers(-len(expected) - 1, len(expected) + 1)
+    step = st.none() | st.integers(-3, 3).filter(bool)
+    s = slice(data.draw(bound), data.draw(bound), data.draw(step))
+    assert placements[s] == tuple(placements)[s]
     assert all(p in placements for p in placed)
     a0, b0 = placements.grid.shift(0)
     width = placements.grid.width
@@ -426,6 +430,31 @@ def test_far_flung_rejection_lists_few_shifts():
     assert len(message) < 400
 
 
+@given(point_sets, st.sampled_from(list(FlipKind)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_shift_is_accepted_exactly_when_it_ties(points, flip, data):
+    # move_plan accepts a placement by the number of coins it moves: over
+    # the difference window, that must pick out exactly the tied shifts
+    result = solve(points, flip)
+    optimal = shifts_of(result)
+    image = flip_set(points, flip)
+
+    def window(axis):
+        lo = min(p[axis] for p in points) - max(p[axis] for p in image)
+        hi = max(p[axis] for p in points) - min(p[axis] for p in image)
+        return st.integers(lo, hi)
+
+    sampled = data.draw(st.lists(st.tuples(window(0), window(1)), min_size=50, max_size=50))
+    for t in optimal + sampled:
+        try:
+            move_plan(points, Placement(flip, t), result=result)
+            accepted = True
+        except ValueError as exc:
+            assert "not optimal" in str(exc)
+            accepted = False
+        assert accepted == (t in optimal)
+
+
 def test_placement_membership_checks_the_flip():
     result = solve(triangle_up(4), FlipKind.ROTATE_180)
     assert Placement(FlipKind.ROTATE_180, (2, 2)) in result.optimal_placements
@@ -433,6 +462,14 @@ def test_placement_membership_checks_the_flip():
     assert (2, 2) not in result.optimal_placements
     with pytest.raises(ValueError, match="not optimal"):
         move_plan(triangle_up(4), Placement(FlipKind.MIRROR_VERTICAL, (2, 2)), result=result)
+
+
+def test_a_result_for_another_flip_is_named_in_the_rejection():
+    result = solve(triangle_up(4), FlipKind.MIRROR_HORIZONTAL)
+    with pytest.raises(ValueError, match="not optimal") as exc:
+        protrusions(triangle_up(4), Placement(FlipKind.ROTATE_180, (2, 2)), result=result)
+    assert "rot180" in str(exc.value) and "mirror-h" in str(exc.value)
+    assert "(3, 0)" not in str(exc.value)
 
 
 def test_results_compare_and_hash_by_value():

@@ -85,6 +85,11 @@ def test_load_custom_accepts_crlf_and_negative_coords():
     assert load_custom("-2 5\r\n3 -4\r\n") == frozenset({Coord(-2, 5), Coord(3, -4)})
 
 
+def test_load_custom_takes_ascii_spaces_and_tabs_as_blanks():
+    text = "\t-2 \t5 \r\n 3\t-4\t\n"
+    assert load_custom(text) == frozenset({Coord(-2, 5), Coord(3, -4)})
+
+
 def test_load_custom_reports_bad_line_number():
     with pytest.raises(ShapeFormatError) as exc:
         load_custom("0 0\n1 zzz\n")
