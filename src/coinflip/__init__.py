@@ -39,7 +39,6 @@ from coinflip.oracle import (
 )
 from coinflip.shapes import (
     ShapeFormatError,
-    ShapeSpec,
     hexagon,
     load_custom,
     rhombus,
@@ -58,7 +57,6 @@ __all__ = [
     "Placement",
     "ProtrusionReport",
     "ShapeFormatError",
-    "ShapeSpec",
     "backend",
     "classify_triangle",
     "connected_components",

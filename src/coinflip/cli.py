@@ -100,14 +100,18 @@ def _check_scans(box: Box, count: int, flips):
 
 
 def _resolve_shape(args, parser, every_flip=False):
-    """The shape that `args` names, its coins, and the flips to solve it
-    under: every flip in FlipKind order when `every_flip`, else --flip or
-    the shape's default. Their scans are checked from the shape's box
-    before a family shape is built or anything is printed, so that a shape
-    too large to scan is refused before building it exhausts memory."""
-    if args.shape_file:
+    """The shape that `args` names: its label, its family (None for a
+    shape file), its coins, and the flips to solve it under: every flip in
+    FlipKind order when `every_flip`, else --flip or the family's default
+    (the half-turn for a shape file). Their scans are checked from the
+    shape's box before a family shape is built or anything is printed, so
+    that a shape too large to scan is refused before building it exhausts
+    memory."""
+    if args.shape_file is not None:
         if args.shape not in (None, "custom"):
             parser.error(f"--shape-file cannot be combined with shape '{args.shape}'")
+        if args.size is not None:
+            parser.error(f"--shape-file cannot be combined with size {args.size}")
         try:
             with open(args.shape_file, encoding="utf-8") as fh:
                 coins = shapes.load_custom(fh.read())
@@ -115,7 +119,7 @@ def _resolve_shape(args, parser, every_flip=False):
             parser.error(f"cannot read shape file: {exc}")
         except (shapes.ShapeFormatError, UnicodeDecodeError) as exc:
             parser.error(f"{args.shape_file}: {exc}")
-        spec = shapes.ShapeSpec("custom", name=args.shape_file)
+        label, family = f"custom {args.shape_file}", None
         box, count = Box.of(coins), len(coins)
     else:
         if args.shape is None:
@@ -125,18 +129,20 @@ def _resolve_shape(args, parser, every_flip=False):
         if args.size is None:
             parser.error(f"{args.shape} needs a size")
         try:
-            spec = shapes.ShapeSpec(args.shape, size=args.size)
+            family = shapes.family(args.shape, args.size)
         except ValueError as exc:
             parser.error(str(exc))
-        box, count = spec.family.box(spec.size), spec.family.coin_count(spec.size)
+        label = f"{args.shape} {args.size}"
+        box, count = family.box(args.size), family.coin_count(args.size)
     if every_flip:
         flips = tuple(FlipKind)
     else:
-        flips = (FLIP_NAMES[args.flip] if args.flip else shapes.default_flip(spec),)
+        default = family.default_flip if family else FlipKind.ROTATE_180
+        flips = (FLIP_NAMES[args.flip] if args.flip else default,)
     _check_scans(box, count, flips)
-    if spec.family:
-        coins = shapes.build(spec)
-    return spec, coins, flips
+    if family:
+        coins = shapes.build(args.shape, args.size)
+    return label, family, coins, flips
 
 
 def _multiset_text(sizes) -> str:
@@ -147,13 +153,12 @@ def _multiset_text(sizes) -> str:
 
 
 def cmd_solve(args, parser) -> int:
-    spec, coins, (flip,) = _resolve_shape(args, parser)
+    label, family, coins, (flip,) = _resolve_shape(args, parser)
     result = oracle.solve(coins, flip)
     canonical = result.optimal_placements[0]
-    report = oracle.protrusions(
-        coins, canonical, expected_parts=shapes.protrusion_arity(spec), result=result
-    )
-    print(f"shape: {spec.label()}")
+    arity = family.protrusion_arity if family else None
+    report = oracle.protrusions(coins, canonical, expected_parts=arity, result=result)
+    print(f"shape: {label}")
     print(f"flip: {flip.value}")
     print(f"total coins: {result.total_coins}")
     print(f"min moves: {result.min_moves}")
@@ -183,7 +188,7 @@ def cmd_table(args, parser) -> int:
 def cmd_render(args, parser) -> int:
     from coinflip import render  # only this command draws; the others skip loading it
 
-    spec, coins, (flip,) = _resolve_shape(args, parser)
+    _, _, coins, (flip,) = _resolve_shape(args, parser)
     result = oracle.solve(coins, flip)
     count = len(result.optimal_placements)
     if not 0 <= args.placement < count:
@@ -194,7 +199,11 @@ def cmd_render(args, parser) -> int:
     placement = result.optimal_placements[args.placement]
     target = oracle.target_set(coins, placement)
     if args.format == "svg":
-        print(render.svg_diagram(coins, target))
+        try:
+            svg = render.svg_diagram(coins, target)
+        except ValueError as exc:
+            parser.error(str(exc))
+        print(svg)
     else:
         try:
             art = render.ascii_diagram(coins, target)
@@ -238,7 +247,7 @@ def run_verify(max_rows: int) -> int:
                     n, f"{name} formulas disagree",
                     f"  old={old} new={new.moves} polynomial={poly}",
                 )
-            coins = shapes.build(shapes.ShapeSpec(name, n))
+            coins = shapes.build(name, n)
             flips = (family.default_flip, *family.cross_check_flips)
             results = [oracle.solve(coins, flip) for flip in flips]
             if any(r.min_moves != new.moves for r in results):
@@ -274,8 +283,8 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_analyze(args, parser) -> int:
-    spec, coins, flips = _resolve_shape(args, parser, every_flip=True)
-    print(f"shape: {spec.label()}")
+    label, _, coins, flips = _resolve_shape(args, parser, every_flip=True)
+    print(f"shape: {label}")
     print(f"total coins: {len(coins)}")
     box = Box.of(coins)
     print(f"coordinate ranges: a {box.a_lo}..{box.a_hi}, b {box.b_lo}..{box.b_hi}")

@@ -24,8 +24,12 @@ def classify_cells(start, target) -> dict[Coord, str]:
 # An ASCII grid holds lines x columns characters however few coins it
 # shows, so far-apart coins would ask for an unbounded string. 16 Mi
 # characters is about a 2900 x 5800 grid: far past anything a terminal
-# shows, yet bounded. SVG output is one element per coin and has no cap.
+# shows, yet bounded. SVG output is one element per coin and has no size cap.
 MAX_ASCII_CHARS = 1 << 24
+
+# SVG places each coin at the float centre a + b/2, which is exact while
+# |a| and |b| stay below 2^51; past it two coins could share a centre.
+MAX_SVG_COORD = 1 << 51
 
 
 def _grid_box(cells) -> tuple[int, int, int, int]:
@@ -70,8 +74,18 @@ _SVG_STYLE = """\
 
 
 def svg_diagram(start, target) -> str:
-    """SVG with unit-diameter circles at the exact lattice embedding."""
+    """SVG with unit-diameter circles at the exact lattice embedding.
+
+    Raises ValueError, before drawing, when a coin's |a| or |b| reaches
+    MAX_SVG_COORD.
+    """
     cells = classify_cells(start, target)
+    a_s, b_s = zip(*cells)
+    if max(map(abs, a_s + b_s)) >= MAX_SVG_COORD:
+        raise ValueError(
+            f"SVG diagram needs every coordinate below {MAX_SVG_COORD} (2^51) "
+            "in absolute value to place each coin exactly"
+        )
     placed = []
     for c in sorted(cells):
         x, y = embed(c)

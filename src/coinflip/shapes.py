@@ -1,5 +1,9 @@
 """The table of generated shape families, their shapes, and the shape
-file format."""
+file format.
+
+A generated shape is a family of FAMILIES and a size: `build(name, n)`.
+Any other shape is read from a shape file by `load_custom`.
+"""
 
 from __future__ import annotations
 
@@ -126,72 +130,35 @@ FAMILIES = {
 }
 
 
-class _ShapeRequest(NamedTuple):
-    kind: str
-    size: int = 0
-    name: str = ""
+def family(name: str, n: int) -> Family:
+    """FAMILIES[name], once `n` is checked as one of its sizes.
+
+    Raises ValueError for a name not in FAMILIES or a size below 1.
+    """
+    found = FAMILIES.get(name)
+    if found is None:
+        raise ValueError(f"unknown shape kind {name!r}")
+    if n < 1:
+        raise ValueError(f"{name} size must be >= 1, got {n}")
+    return found
 
 
-class ShapeSpec(_ShapeRequest):
-    """A named shape request: a family of FAMILIES plus size, or "custom"
-    with an optional name. Checked when it is made, `_replace` included."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, size: int = 0, name: str = ""):
-        family = FAMILIES.get(kind)
-        if family is None and kind != "custom":
-            raise ValueError(f"unknown shape kind {kind!r}")
-        if family and size < 1:
-            raise ValueError(f"{kind} size must be >= 1, got {size}")
-        return tuple.__new__(cls, (kind, size, name))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    @property
-    def family(self) -> Family | None:
-        return FAMILIES.get(self.kind)
-
-    def label(self) -> str:
-        if self.kind == "custom":
-            return f"custom {self.name}" if self.name else "custom"
-        return f"{self.kind} {self.size}"
-
-
-def build(spec: ShapeSpec) -> frozenset:
-    """Generate the coin set for a non-custom spec."""
-    if spec.family is None:
-        raise ValueError("custom shapes are loaded from a file, not generated")
-    return spec.family.box(spec.size).points()
+def build(name: str, n: int) -> frozenset:
+    """The coins of shape `name` of size `n`, a family of FAMILIES."""
+    return family(name, n).box(n).points()
 
 
 def triangle_up(n: int) -> frozenset:
     """Upward triangle of n rows: 1 coin on top, n on the bottom edge."""
-    return build(ShapeSpec("triangle", n))
+    return build("triangle", n)
 
 
 def rhombus(n: int) -> frozenset:
     """Right-leaning rhombus with n coins on each side (n*n total)."""
-    return build(ShapeSpec("rhombus", n))
+    return build("rhombus", n)
 
 
 def hexagon(k: int) -> frozenset:
     """Centered hexagon of side k: 3k^2 - 3k + 1 coins, symmetric under
     180-degree rotation."""
-    return build(ShapeSpec("hexagon", k))
-
-
-def default_flip(spec: ShapeSpec) -> FlipKind:
-    """The flip each family's puzzle asks for.
-
-    Triangles invert by 180-degree rotation; rhombi flip horizontally.
-    Hexagons and custom shapes default to the rotation.
-    """
-    return spec.family.default_flip if spec.family else FlipKind.ROTATE_180
-
-
-def protrusion_arity(spec: ShapeSpec) -> int | None:
-    """Expected protrusion count: 3 for triangles, 2 for rhombi, raw otherwise."""
-    return spec.family.protrusion_arity if spec.family else None
+    return build("hexagon", k)

@@ -28,7 +28,7 @@ from coinflip._scan import (
     scan_pairs,
 )
 from coinflip.lattice import Box, FlipKind, flip_points
-from coinflip.shapes import FAMILIES, ShapeSpec, build, hexagon, rhombus, triangle_up
+from coinflip.shapes import FAMILIES, build, hexagon, rhombus, triangle_up
 
 
 def triangle_grid(n):
@@ -47,7 +47,7 @@ def test_triangle_grid_matches_grid_of():
     # the CLI's pre-build check reads every family's grid off its box
     for name, family in FAMILIES.items():
         for n in range(1, 41):
-            coins = build(ShapeSpec(name, n))
+            coins = build(name, n)
             box = family.box(n)
             assert Box.of(coins) == box
             assert family.coin_count(n) == len(coins)

@@ -25,8 +25,8 @@ class Built(Exception):
 
 
 def refuse_to_build(monkeypatch):
-    def build(spec):
-        raise Built(spec)
+    def build(name, n):
+        raise Built(name, n)
 
     monkeypatch.setattr(cli.shapes, "build", build)
 
@@ -94,7 +94,7 @@ def test_verify_checks_its_last_row_before_its_first(capsys, monkeypatch):
     # one row fewer passes the check and starts building row 1
     with pytest.raises(Built) as built:
         cli.main(["verify", "836"])
-    assert built.value.args == (shapes.ShapeSpec("triangle", 1),)
+    assert built.value.args == ("triangle", 1)
 
 
 def refused(name, n, flip):

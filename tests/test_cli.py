@@ -4,8 +4,10 @@ import io
 import pytest
 
 from coinflip import cli, formulas, render
-from coinflip.shapes import ShapeFormatError, load_custom, serialize, triangle_up
+from coinflip.shapes import ShapeFormatError, load_custom, rhombus, serialize, triangle_up
 from golden_tables import RHOMBUS_TABLE, TRIANGLE_TABLE, moves_of
+
+USAGE = "usage: coinflip [-h] {solve,table,render,verify,analyze} ...\n"
 
 
 def run(capsys, argv):
@@ -73,6 +75,32 @@ def test_solve_shape_file(capsys, tmp_path):
     assert code == 0
     assert f"shape: custom {path}" in out
     assert "min moves: 3" in out
+
+
+def test_each_family_sets_its_default_flip_and_pads_its_protrusions(capsys):
+    code, out = run(capsys, ["solve", "triangle", "2"])
+    assert code == 0
+    assert "flip: rot180\n" in out
+    assert "protrusions: 1 + 0 + 0\n" in out
+    code, out = run(capsys, ["solve", "rhombus", "2"])
+    assert code == 0
+    assert "flip: mirror-h\n" in out
+    assert "protrusions: 1 + 0\n" in out
+
+
+def test_a_shape_file_takes_the_half_turn_and_unpadded_protrusions(capsys, tmp_path):
+    # the coins of triangle 2, whose family pads its protrusions to three
+    path = tmp_path / "tri.txt"
+    path.write_text(serialize(triangle_up(2)))
+    code, out = run(capsys, ["solve", "--shape-file", str(path)])
+    assert code == 0
+    assert f"shape: custom {path}\nflip: rot180\n" in out
+    assert "protrusions: 1\n" in out
+    # the coins of rhombus 2, whose family defaults to mirror-h
+    path.write_text(serialize(rhombus(2)))
+    code, out = run(capsys, ["solve", "--shape-file", str(path)])
+    assert code == 0
+    assert "flip: rot180\n" in out
 
 
 # ---------------------------------------------------------------- table
@@ -309,6 +337,51 @@ def test_shape_file_blanks_are_ascii_spaces_and_tabs(capsys, tmp_path, line):
     refuses_line_2(capsys, tmp_path, f"0 0\n{line}\n")
 
 
+SHAPE_ERRORS = [
+    (["solve", "triangle", "0"], "triangle size must be >= 1, got 0"),
+    (["render", "rhombus", "-1"], "rhombus size must be >= 1, got -1"),
+    (["analyze", "hexagon", "0"], "hexagon size must be >= 1, got 0"),
+    (["solve", "custom"], "custom shapes need --shape-file"),
+    (["solve"], "a shape (or --shape-file) is required"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", SHAPE_ERRORS, ids=[" ".join(argv) for argv, _ in SHAPE_ERRORS]
+)
+def test_a_bad_shape_prints_the_usage_line_and_its_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", USAGE + f"coinflip: error: {message}\n")
+
+
+def test_a_shape_file_takes_no_size(capsys, tmp_path):
+    path = tmp_path / "x.txt"
+    path.write_text("0 0\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "custom", "5", "--shape-file", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", USAGE + "coinflip: error: --shape-file cannot be combined with size 5\n"
+    )
+
+
+def test_an_empty_shape_file_path_is_still_a_shape_file(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "triangle", "4", "--shape-file", ""])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", USAGE + "coinflip: error: --shape-file cannot be combined with shape 'triangle'\n"
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--shape-file", ""])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(USAGE + "coinflip: error: cannot read shape file: ")
+
+
 def test_nonpositive_sizes_are_usage_errors(capsys):
     for argv in (
         ["solve", "triangle", "0"],
@@ -358,6 +431,43 @@ def test_render_refuses_an_oversized_ascii_grid(capsys, tmp_path):
     code, out = run(capsys, ["render", "--shape-file", str(path), "--format", "svg"])
     assert code == 0
     assert out.count('r="0.5"') == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # two coins a float centre would merge, one drawn as "stay", one as "source"
+        f"{2**60} 0\n{2**60 + 1} 0\n0 0\n",
+        # a centre past the float range
+        f"0 0\n{10**400} 0\n",
+    ],
+    ids=["2^60", "10^400"],
+)
+def test_render_svg_refuses_coordinates_a_float_cannot_place(capsys, tmp_path, text):
+    path = tmp_path / "far.txt"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["render", "--shape-file", str(path), "--format", "svg"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "",
+        USAGE + "coinflip: error: SVG diagram needs every coordinate below "
+        "2251799813685248 (2^51) in absolute value to place each coin exactly\n",
+    )
+
+
+def test_render_svg_places_coins_just_inside_the_bound(capsys, tmp_path):
+    # symmetric under the half-turn, so every coin stays and none moves out
+    m = render.MAX_SVG_COORD - 1
+    half = {(m, 0), (m - 1, 0), (0, m), (1, m - 1)}
+    coins = half | {(-a, -b) for a, b in half}
+    path = tmp_path / "edge.txt"
+    path.write_text("".join(f"{a} {b}\n" for a, b in coins))
+    code, out = run(capsys, ["render", "--shape-file", str(path), "--format", "svg"])
+    assert code == 0
+    circles = [line for line in out.splitlines() if 'r="0.5"' in line]
+    assert len(circles) == len(coins)
+    assert len({line.split(" r=")[0] for line in circles}) == len(coins)
 
 
 # ------------------------------------------------------------ parser build

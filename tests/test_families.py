@@ -7,7 +7,7 @@ import pytest
 
 from coinflip import cli, formulas
 from coinflip.lattice import Box, FlipKind
-from coinflip.shapes import FAMILIES, ShapeSpec, build
+from coinflip.shapes import FAMILIES, build
 
 VERIFY_6 = """\
 rows 1: triangle 0 moves (1 placements), rhombus 0 moves (1 placements) ok
@@ -38,7 +38,7 @@ def test_family_describes_its_shapes(name):
     family = FAMILIES[name]
     assert family.name == name
     for n in range(1, 26):
-        coins = build(ShapeSpec(name, n))
+        coins = build(name, n)
         assert Box.of(coins) == family.box(n)
         assert family.coin_count(n) == len(coins)
         if family.is_puzzle:

@@ -22,7 +22,6 @@ def records():
         "Component": report.source_components[0],
         "MovePlan": oracle.move_plan(START, placement, result=result),
         "Decomposition": formulas.triangle_moves_new(5),
-        "ShapeSpec": shapes.ShapeSpec("triangle", 4),
         "Family": shapes.FAMILIES["rhombus"],
     }
 
@@ -48,7 +47,6 @@ REPRS = {
         "(Coord(a=2, b=0), Coord(a=1, b=-1))))"
     ),
     "Decomposition": "Decomposition(parts=(3, 1, 1), moves=5)",
-    "ShapeSpec": "ShapeSpec(kind='triangle', size=4, name='')",
 }
 
 
@@ -74,11 +72,6 @@ def test_repr_names_every_field(name):
     assert repr(records()[name]) == REPRS[name]
 
 
-def test_custom_spec_repr():
-    spec = shapes.ShapeSpec("custom", name="a.txt")
-    assert repr(spec) == "ShapeSpec(kind='custom', size=0, name='a.txt')"
-
-
 # a field of each record
 FIELDS = {
     "OverlapResult": "min_moves",
@@ -86,7 +79,6 @@ FIELDS = {
     "Component": "size",
     "MovePlan": "moves",
     "Decomposition": "moves",
-    "ShapeSpec": "size",
     "Family": "divisor",
 }
 
@@ -108,9 +100,3 @@ def test_equal_values_are_equal_and_hash_alike(name):
     assert a == b
     assert hash(a) == hash(b)
 
-
-# Unknown kinds and missing sizes are refused by tests/test_shapes.py.
-def test_shape_spec_checks_a_replaced_field():
-    with pytest.raises(ValueError, match="triangle size must be >= 1, got 0"):
-        shapes.ShapeSpec("triangle", 4)._replace(size=0)
-    assert shapes.ShapeSpec("triangle", 4)._replace(size=5) == shapes.ShapeSpec("triangle", 5)

@@ -6,6 +6,7 @@ from coinflip.oracle import solve, target_set
 from coinflip.render import (
     ASCII_GLYPHS,
     MAX_ASCII_CHARS,
+    MAX_SVG_COORD,
     ascii_diagram,
     classify_cells,
     svg_diagram,
@@ -104,6 +105,15 @@ def test_far_flung_ascii_extent_is_computed_not_drawn():
     assert lines * columns > MAX_ASCII_CHARS
     with pytest.raises(ValueError, match=f"would be {lines} lines x {columns} columns"):
         ascii_diagram(start, target)
+
+
+@pytest.mark.parametrize(
+    "coin", [(MAX_SVG_COORD, 0), (0, -MAX_SVG_COORD)], ids=["a=2^51", "b=-2^51"]
+)
+def test_svg_refuses_a_coordinate_at_the_bound(coin):
+    start = frozenset({Coord(0, 0), Coord(*coin)})
+    with pytest.raises(ValueError, match="SVG diagram needs every coordinate below"):
+        svg_diagram(start, start)
 
 
 def test_svg_structure():

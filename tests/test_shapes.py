@@ -3,10 +3,9 @@ from hypothesis import given, strategies as st
 
 from coinflip.lattice import Coord, FlipKind, connected_components, flip_set, translate
 from coinflip.shapes import (
+    FAMILIES,
     ShapeFormatError,
-    ShapeSpec,
     build,
-    default_flip,
     hexagon,
     load_custom,
     rhombus,
@@ -140,38 +139,34 @@ def test_serialize_round_trip_random(points):
     assert parsed == points
 
 
-def test_shape_spec_builds_each_kind():
-    assert build(ShapeSpec("triangle", 3)) == triangle_up(3)
-    assert build(ShapeSpec("rhombus", 2)) == rhombus(2)
-    assert build(ShapeSpec("hexagon", 2)) == hexagon(2)
+def test_build_makes_each_family():
+    assert build("triangle", 3) == triangle_up(3)
+    assert build("rhombus", 2) == rhombus(2)
+    assert build("hexagon", 2) == hexagon(2)
 
 
-def test_shape_spec_labels():
-    assert ShapeSpec("triangle", 4).label() == "triangle 4"
-    assert ShapeSpec("custom", name="blob.txt").label() == "custom blob.txt"
-    assert ShapeSpec("custom").label() == "custom"
+def test_build_refuses_unknown_kinds_and_sizes_below_1():
+    with pytest.raises(ValueError) as exc:
+        build("pyramid", 3)
+    assert str(exc.value) == "unknown shape kind 'pyramid'"
+    with pytest.raises(ValueError) as exc:
+        build("custom", 3)  # customs come from files
+    assert str(exc.value) == "unknown shape kind 'custom'"
+    for n in (0, -5):
+        with pytest.raises(ValueError) as exc:
+            build("rhombus", n)
+        assert str(exc.value) == f"rhombus size must be >= 1, got {n}"
 
 
-def test_shape_spec_validation():
-    with pytest.raises(ValueError):
-        ShapeSpec("pyramid", 3)
-    with pytest.raises(ValueError):
-        ShapeSpec("triangle")  # size defaults to 0
-    with pytest.raises(ValueError):
-        build(ShapeSpec("custom", name="x"))  # customs come from files
-
-
+# The CLI's fallbacks for a shape file (the half-turn, unpadded
+# protrusions) are pinned in tests/test_cli.py.
 def test_default_flip_per_family():
-    assert default_flip(ShapeSpec("triangle", 3)) is FlipKind.ROTATE_180
-    assert default_flip(ShapeSpec("hexagon", 3)) is FlipKind.ROTATE_180
-    assert default_flip(ShapeSpec("custom", name="x")) is FlipKind.ROTATE_180
-    assert default_flip(ShapeSpec("rhombus", 3)) is FlipKind.MIRROR_HORIZONTAL
+    assert FAMILIES["triangle"].default_flip is FlipKind.ROTATE_180
+    assert FAMILIES["hexagon"].default_flip is FlipKind.ROTATE_180
+    assert FAMILIES["rhombus"].default_flip is FlipKind.MIRROR_HORIZONTAL
 
 
 def test_protrusion_arity_per_family():
-    from coinflip.shapes import protrusion_arity
-
-    assert protrusion_arity(ShapeSpec("triangle", 3)) == 3
-    assert protrusion_arity(ShapeSpec("rhombus", 3)) == 2
-    assert protrusion_arity(ShapeSpec("hexagon", 3)) is None
-    assert protrusion_arity(ShapeSpec("custom", name="x")) is None
+    assert FAMILIES["triangle"].protrusion_arity == 3
+    assert FAMILIES["rhombus"].protrusion_arity == 2
+    assert FAMILIES["hexagon"].protrusion_arity is None
