@@ -18,7 +18,6 @@ from coinflip.formulas import (
     triangular,
 )
 from coinflip.lattice import (
-    Coord,
     FlipKind,
     classify_triangle,
     connected_components,
@@ -49,7 +48,6 @@ from coinflip.shapes import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Coord",
     "Decomposition",
     "FlipKind",
     "MovePlan",

@@ -101,12 +101,12 @@ def _check_scans(box: Box, count: int, flips):
 
 def _resolve_shape(args, parser, every_flip=False):
     """The shape that `args` names: its label, its family (None for a
-    shape file), its coins, and the flips to solve it under: every flip in
-    FlipKind order when `every_flip`, else --flip or the family's default
-    (the half-turn for a shape file). Their scans are checked from the
-    shape's box before a family shape is built or anything is printed, so
-    that a shape too large to scan is refused before building it exhausts
-    memory."""
+    shape file), its coins, their box (`Box.of(coins)`), and the flips to
+    solve it under: every flip in FlipKind order when `every_flip`, else
+    --flip or the family's default (the half-turn for a shape file). Their
+    scans are checked from the shape's box before a family shape is built
+    or anything is printed, so that a shape too large to scan is refused
+    before building it exhausts memory."""
     if args.shape_file is not None:
         if args.shape not in (None, "custom"):
             parser.error(f"--shape-file cannot be combined with shape '{args.shape}'")
@@ -142,7 +142,7 @@ def _resolve_shape(args, parser, every_flip=False):
     _check_scans(box, count, flips)
     if family:
         coins = shapes.build(args.shape, args.size)
-    return label, family, coins, flips
+    return label, family, coins, box, flips
 
 
 def _multiset_text(sizes) -> str:
@@ -153,7 +153,7 @@ def _multiset_text(sizes) -> str:
 
 
 def cmd_solve(args, parser) -> int:
-    label, family, coins, (flip,) = _resolve_shape(args, parser)
+    label, family, coins, _, (flip,) = _resolve_shape(args, parser)
     result = oracle.solve(coins, flip)
     canonical = result.optimal_placements[0]
     arity = family.protrusion_arity if family else None
@@ -170,7 +170,7 @@ def cmd_solve(args, parser) -> int:
         plan = oracle.move_plan(coins, canonical, result=result)
         print(f"moves ({len(plan.moves)}):")
         for src, dst in plan.moves:
-            print(f"  ({src.a}, {src.b}) -> ({dst.a}, {dst.b})")
+            print(f"  {src} -> {dst}")
     return 0
 
 
@@ -188,7 +188,7 @@ def cmd_table(args, parser) -> int:
 def cmd_render(args, parser) -> int:
     from coinflip import render  # only this command draws; the others skip loading it
 
-    _, _, coins, (flip,) = _resolve_shape(args, parser)
+    _, _, coins, _, (flip,) = _resolve_shape(args, parser)
     result = oracle.solve(coins, flip)
     count = len(result.optimal_placements)
     if not 0 <= args.placement < count:
@@ -208,7 +208,8 @@ def cmd_render(args, parser) -> int:
         try:
             art = render.ascii_diagram(coins, target)
         except ValueError as exc:
-            parser.error(f"{exc}; use --format svg")
+            hint = "; use --format svg" if render.fits_svg(coins | target) else ""
+            parser.error(f"{exc}{hint}")
         print(art)
         print()
         print(render.ASCII_LEGEND)
@@ -283,10 +284,9 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_analyze(args, parser) -> int:
-    label, _, coins, flips = _resolve_shape(args, parser, every_flip=True)
+    label, _, coins, box, flips = _resolve_shape(args, parser, every_flip=True)
     print(f"shape: {label}")
     print(f"total coins: {len(coins)}")
-    box = Box.of(coins)
     print(f"coordinate ranges: a {box.a_lo}..{box.a_hi}, b {box.b_lo}..{box.b_hi}")
     components = connected_components(coins)
     print(f"connected components: {len(components)}")

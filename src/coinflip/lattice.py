@@ -5,55 +5,32 @@ in the plane, so two coins of diameter 1 touch exactly when their squared
 distance a*a + a*b + b*b equals 1. Everything here is exact integer
 arithmetic; the float embedding exists only for drawing.
 
-A coin is a `Coord`, built once where it enters the program (`Box.points`
-or the shape-file parser). Public functions accept any iterable of (a, b)
-pairs: a frozenset of Coord is used as it is, anything else is converted
-once by `as_coin_set`. Every coin they return is a Coord. Work
-that never leaves a function (a flipped image fed to the scan, neighbour
-probes) uses plain tuples, which hash and compare like Coords at a
-fraction of the cost to build.
+A coin is a plain (a, b) tuple of ints. Public functions accept any
+iterable of (a, b) pairs: `as_coin_set` keeps a frozenset as it is and
+converts anything else once. A coin that is not a pair raises ValueError
+where a function unpacks it.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import partial
 from operator import add
 from typing import NamedTuple, Optional
 
-
-class Coord(NamedTuple):
-    a: int
-    b: int
-
-
-CoinSet = frozenset  # frozenset[Coord]
-
-# Coord from an (a, b) tuple through the C tuple constructor: the same value
-# as Coord(a, b) at about half the cost of its generated Python __new__.
-_coord = partial(tuple.__new__, Coord)
-
-_COORD_ONLY = {Coord}
+CoinSet = frozenset  # frozenset[tuple[int, int]]
 
 
 def as_coin_set(coins) -> CoinSet:
-    """`coins` as a frozenset of Coord: itself when it already is one,
-    else converted once."""
-    if type(coins) is frozenset and set(map(type, coins)) <= _COORD_ONLY:
+    """`coins` as a frozenset of (a, b) pairs: itself when it already is
+    a frozenset, else converted once."""
+    if type(coins) is frozenset:
         return coins
-    return frozenset(Coord(a, b) for a, b in coins)
+    return frozenset((a, b) for a, b in coins)
 
 
 #: Offsets of the six unit-distance neighbors.
-NEIGHBOR_OFFSETS = (
-    Coord(1, 0),
-    Coord(-1, 0),
-    Coord(0, 1),
-    Coord(0, -1),
-    Coord(1, -1),
-    Coord(-1, 1),
-)
+NEIGHBOR_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 
 SQRT3 = math.sqrt(3.0)
 
@@ -65,10 +42,10 @@ class FlipKind(Enum):
     MIRROR_HORIZONTAL = "mirror-h"
     MIRROR_VERTICAL = "mirror-v"
 
-    def apply(self, c) -> Coord:
+    def apply(self, c) -> tuple[int, int]:
         p, q, r, s = _FLIP_MATRICES[self]
         a, b = c
-        return Coord(p * a + q * b, r * a + s * b)
+        return (p * a + q * b, r * a + s * b)
 
 
 # Every flip is linear, (a, b) -> (p*a + q*b, r*a + s*b). This table, as
@@ -126,32 +103,27 @@ class Box(NamedTuple):
         """The box's coins."""
         a_lo, a_hi, b_lo, b_hi, s_lo, s_hi = self
         return frozenset(
-            _coord((a, b))
+            (a, b)
             for b in range(b_lo, b_hi + 1)
             for a in range(max(a_lo, s_lo - b), min(a_hi, s_hi - b) + 1)
         )
 
 
 def flip_points(coins, flip: FlipKind, shift=(0, 0)) -> list[tuple[int, int]]:
-    """The image of `coins` under `flip`, then `shift`, as plain tuples."""
+    """The image of `coins` under `flip`, then `shift`."""
     p, q, r, s = _FLIP_MATRICES[flip]
     da, db = shift
     return [(p * a + q * b + da, r * a + s * b + db) for a, b in coins]
 
 
-def flip_translate(coins, flip: FlipKind, shift) -> CoinSet:
-    """translate(flip_set(coins, flip), shift), in one pass."""
-    return frozenset(map(_coord, flip_points(coins, flip, shift)))
-
-
 def flip_set(coins, flip: FlipKind) -> CoinSet:
     """The image of `coins` under `flip`."""
-    return flip_translate(coins, flip, (0, 0))
+    return frozenset(flip_points(coins, flip))
 
 
 def translate(coins, shift) -> CoinSet:
     da, db = shift
-    return frozenset(Coord(a + da, b + db) for a, b in coins)
+    return frozenset((a + da, b + db) for a, b in coins)
 
 
 def distance_sq(c, d) -> int:
@@ -172,8 +144,7 @@ def connected_components(coins) -> list[CoinSet]:
     Components come back ordered by their lexicographically smallest
     member, so reports are deterministic. Seeds are taken in sorted
     order, so each component's seed is its smallest coin and no final
-    sort is needed: O(n log n) in all. Neighbour probes are plain tuples;
-    a hit pops the stored coin, so every coin returned is an input Coord.
+    sort is needed: O(n log n) in all.
     """
     coins = as_coin_set(coins)
     unvisited = dict(zip(coins, coins))
@@ -219,7 +190,8 @@ def classify_triangle(component) -> Optional[tuple[str, int]]:
     # coordinates, every coin has a >= a0 and b >= b0, so the coins fill
     # the up template iff every a + b <= a0 + b0 + k - 1, and the down
     # template iff every a + b >= a1 + b1 - (k - 1). No template is built.
-    a_s, b_s = zip(*coins)
+    # strict: a coin that is not a pair raises, as where others unpack it
+    a_s, b_s = zip(*coins, strict=True)
     sums = list(map(add, a_s, b_s))
     if max(sums) <= min(a_s) + min(b_s) + k - 1:
         return ("up", k)

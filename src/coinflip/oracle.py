@@ -22,12 +22,11 @@ Both kernels are exact, so a placement under the solved flip is optimal
 exactly when it moves min_moves coins; protrusions() and move_plan()
 check that count, not the keys.
 
-Coin inputs may be any iterable of (a, b) pairs. A frozenset of Coord,
-as the shape generators and the shape-file parser return it, is used as
-it is; anything else is converted once (lattice.as_coin_set). The
-flipped image handed to the scan is a list of plain tuples, and every
-coin returned (in target_set, Component.coins, MovePlan.moves) is a
-Coord.
+Coin inputs may be any iterable of (a, b) pairs. A frozenset, as the
+shape generators and the shape-file parser return it, is used as it is;
+anything else is converted once (lattice.as_coin_set). Every coin
+returned (in target_set, Component.coins, MovePlan.moves) is an (a, b)
+tuple.
 """
 
 from __future__ import annotations
@@ -39,13 +38,11 @@ from typing import NamedTuple, Optional
 
 from coinflip import _scan
 from coinflip.lattice import (
-    Coord,
     FlipKind,
     as_coin_set,
     classify_triangle,
     connected_components,
     flip_points,
-    flip_translate,
 )
 
 
@@ -132,7 +129,7 @@ class ProtrusionReport(NamedTuple):
 class MovePlan(NamedTuple):
     """Coins to move, paired lexicographically with their destinations."""
 
-    moves: tuple[tuple[Coord, Coord], ...]
+    moves: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
     def apply(self, start) -> frozenset:
         start = as_coin_set(start)
@@ -145,7 +142,7 @@ class MovePlan(NamedTuple):
 
 def target_set(start, placement: Placement) -> frozenset:
     """The flipped-and-shifted image the placement superimposes on start."""
-    return flip_translate(start, placement.flip, placement.shift)
+    return frozenset(flip_points(start, placement.flip, placement.shift))
 
 
 def solve(start, flip: FlipKind) -> OverlapResult:

@@ -7,14 +7,18 @@ with three marks: coins that stay (overlap), coins that must move out
 
 from __future__ import annotations
 
-from coinflip.lattice import Coord, as_coin_set, embed
+from coinflip.lattice import as_coin_set, embed
 
 ASCII_GLYPHS = {"stay": "O", "source": ".", "target": "*"}
 
 ASCII_LEGEND = "legend: O = stays put   . = must move   * = destination"
 
 
-def classify_cells(start, target) -> dict[Coord, str]:
+def classify_cells(start, target) -> dict[tuple[int, int], str]:
+    """Each coin of start and target, as "stay" (in both), "source" (start
+    only) or "target" (target only). It labels only the coins it is given
+    and does not check that each is an (a, b) pair; the diagrams do, when
+    they place them."""
     cells = dict.fromkeys(as_coin_set(start), "source")
     for c in as_coin_set(target):
         cells[c] = "stay" if c in cells else "target"
@@ -73,6 +77,13 @@ _SVG_STYLE = """\
     .target { fill: #2f9e44; }"""
 
 
+def fits_svg(cells) -> bool:
+    """Whether every cell's |a| and |b| stay below MAX_SVG_COORD, so that
+    svg_diagram can place each one exactly."""
+    a_s, b_s = zip(*cells)
+    return max(map(abs, a_s + b_s)) < MAX_SVG_COORD
+
+
 def svg_diagram(start, target) -> str:
     """SVG with unit-diameter circles at the exact lattice embedding.
 
@@ -80,8 +91,7 @@ def svg_diagram(start, target) -> str:
     MAX_SVG_COORD.
     """
     cells = classify_cells(start, target)
-    a_s, b_s = zip(*cells)
-    if max(map(abs, a_s + b_s)) >= MAX_SVG_COORD:
+    if not fits_svg(cells):
         raise ValueError(
             f"SVG diagram needs every coordinate below {MAX_SVG_COORD} (2^51) "
             "in absolute value to place each coin exactly"

@@ -11,7 +11,7 @@ import re
 from typing import Callable, NamedTuple
 
 from coinflip import formulas
-from coinflip.lattice import Box, Coord, FlipKind
+from coinflip.lattice import Box, FlipKind
 
 # The shape-file line grammar, once the line's padding is stripped. int()
 # alone would also take "1_0", "+3" and non-ASCII digits, and str.split()
@@ -36,7 +36,7 @@ def load_custom(source: str) -> frozenset:
     Lines starting with `#` are comments; blank lines are ignored; CRLF is
     accepted. Duplicate coordinates and empty shapes are rejected.
     """
-    coins: dict[Coord, int] = {}
+    coins: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(source.split("\n"), start=1):
         line = raw.rstrip("\r").strip(" \t")
         if not line or line.startswith("#"):
@@ -46,14 +46,14 @@ def load_custom(source: str) -> frozenset:
             if fields is None:
                 raise ValueError
             # int() still refuses numbers past its digit limit
-            coord = Coord(int(fields[1]), int(fields[2]))
+            coord = (int(fields[1]), int(fields[2]))
         except ValueError:
             raise ShapeFormatError(
                 f"expected two integers `a b`, got {line!r}", lineno
             ) from None
         if coord in coins:
             raise ShapeFormatError(
-                f"duplicate coordinate {coord.a} {coord.b} "
+                f"duplicate coordinate {coord[0]} {coord[1]} "
                 f"(first seen on line {coins[coord]})",
                 lineno,
             )

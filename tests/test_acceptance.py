@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coinflip import cli, formulas, oracle, shapes
-from coinflip.lattice import Coord, FlipKind, distance_sq
+from coinflip.lattice import FlipKind, distance_sq
 from golden_tables import RHOMBUS_TABLE, TRIANGLE_TABLE, moves_of, parts_of
 
 
@@ -159,11 +159,9 @@ def test_09_piecewise_branch_regressions():
 
 # criterion 10: the property laws, run as hypothesis suites
 
-coords = st.tuples(st.integers(-100, 100), st.integers(-100, 100)).map(
-    lambda t: Coord(*t)
-)
+coords = st.tuples(st.integers(-100, 100), st.integers(-100, 100))
 point_sets = st.frozensets(
-    st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(lambda t: Coord(*t)),
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
     min_size=1,
     max_size=16,
 )

@@ -433,6 +433,21 @@ def test_render_refuses_an_oversized_ascii_grid(capsys, tmp_path):
     assert out.count('r="0.5"') == 2
 
 
+@pytest.mark.parametrize("far, hinted", [(2**40, True), (2**60, False)], ids=["2^40", "2^60"])
+def test_render_suggests_svg_only_for_a_shape_svg_can_draw(capsys, tmp_path, far, hinted):
+    path = tmp_path / "far.txt"
+    path.write_text(f"0 0\n{far} 0\n")
+    code, err = run_error(capsys, ["render", "--shape-file", str(path)])
+    assert code == 2
+    assert f"over the limit of {render.MAX_ASCII_CHARS}" in err
+    assert err.endswith("; use --format svg\n") == hinted
+    svg = ["render", "--shape-file", str(path), "--format", "svg"]
+    if hinted:
+        assert run(capsys, svg)[0] == 0
+    else:
+        assert run_error(capsys, svg)[0] == 2
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -1,9 +1,10 @@
-"""Every coin a public function returns is a Coord, whatever pairs went in.
+"""A coin is an (a, b) pair, whatever iterable holds it.
 
-Inputs may be any iterable of (a, b) pairs; a frozenset of Coord is used
-as it is and anything else is converted once. Internal sets hold plain
-tuples, so these tests pass plain-tuple lists and sets and check both the
-type of each returned coin and that the result equals the Coord result.
+Public functions take any iterable of (a, b) pairs: a frozenset is used
+as it is, and anything else is converted once. These tests pass plain
+lists and sets and check that each result equals the result for the
+frozenset the shape builders return. A coin that is not a pair is
+refused with ValueError.
 """
 
 import pytest
@@ -11,20 +12,19 @@ from hypothesis import given, strategies as st
 
 from coinflip.lattice import (
     NEIGHBOR_OFFSETS,
-    Coord,
     FlipKind,
     as_coin_set,
+    classify_triangle,
     connected_components,
     flip_set,
     translate,
 )
-from coinflip.oracle import move_plan, protrusions, solve, target_set
-from coinflip.render import classify_cells
+from coinflip.oracle import Placement, move_plan, protrusions, solve, target_set
+from coinflip.render import ascii_diagram, classify_cells, svg_diagram
 from coinflip.shapes import rhombus, triangle_up
 
 BLOB = frozenset(
-    Coord(a, b)
-    for a, b in [(0, 0), (1, 0), (2, 0), (0, 1), (5, 5), (6, 4), (-3, 2), (-3, 3), (9, -1)]
+    [(0, 0), (1, 0), (2, 0), (0, 1), (5, 5), (6, 4), (-3, 2), (-3, 3), (9, -1)]
 )
 
 CASES = [
@@ -35,15 +35,9 @@ CASES = [
 
 
 def plain_inputs(coins):
-    """The same coins as a list and as a set of plain tuples."""
-    pairs = [tuple(c) for c in sorted(coins)]
+    """The same coins as a list and as a set."""
+    pairs = sorted(coins)
     return [pairs, set(pairs)]
-
-
-def assert_coords(coins):
-    coins = list(coins)
-    assert coins
-    assert all(type(c) is Coord for c in coins)
 
 
 @pytest.mark.parametrize("shape, flip", CASES)
@@ -53,9 +47,7 @@ def test_solve_and_target_set_take_plain_pairs(shape, flip):
         result = solve(pairs, flip)
         assert result == expected
         for placement in result.optimal_placements:
-            target = target_set(pairs, placement)
-            assert target == target_set(shape, placement)
-            assert_coords(target)
+            assert target_set(pairs, placement) == target_set(shape, placement)
 
 
 @pytest.mark.parametrize("shape, flip", CASES)
@@ -65,16 +57,10 @@ def test_protrusions_and_move_plan_return_coords(shape, flip):
     report = protrusions(shape, placement, result=result)
     plan = move_plan(shape, placement, result=result)
     for pairs in plain_inputs(shape):
-        got = protrusions(pairs, placement)
-        assert got == report
-        for component in got.source_components + got.target_components:
-            assert_coords(component.coins)
+        assert protrusions(pairs, placement) == report
         got_plan = move_plan(pairs, placement)
         assert got_plan == plan
-        if plan.moves:
-            assert_coords(c for move in got_plan.moves for c in move)
         assert got_plan.apply(pairs) == plan.apply(shape)
-        assert_coords(got_plan.apply(pairs))
 
 
 @pytest.mark.parametrize("shape, flip", CASES)
@@ -83,31 +69,49 @@ def test_classify_cells_keys_are_coords(shape, flip):
     target = target_set(shape, placement)
     expected = classify_cells(shape, target)
     for pairs, target_pairs in zip(plain_inputs(shape), plain_inputs(target)):
-        cells = classify_cells(pairs, target_pairs)
-        assert cells == expected
-        assert_coords(cells)
+        assert classify_cells(pairs, target_pairs) == expected
 
 
 def test_lattice_set_functions_return_coords():
     for pairs in plain_inputs(BLOB):
         for flip in FlipKind:
             assert flip_set(pairs, flip) == flip_set(BLOB, flip)
-            assert_coords(flip_set(pairs, flip))
         assert translate(pairs, (3, -4)) == translate(BLOB, (3, -4))
-        assert_coords(translate(pairs, (3, -4)))
-        components = connected_components(pairs)
-        assert components == connected_components(BLOB)
-        for component in components:
-            assert_coords(component)
+        assert connected_components(pairs) == connected_components(BLOB)
 
 
 def test_as_coin_set_keeps_a_coord_frozenset():
     assert as_coin_set(BLOB) is BLOB
-    mixed = frozenset(BLOB - {Coord(0, 0)}) | {(0, 0)}
-    converted = as_coin_set(mixed)
-    assert converted == BLOB and converted is not mixed
-    assert_coords(converted)
-    assert as_coin_set([[1, 2], [1, 2]]) == {Coord(1, 2)}
+    assert as_coin_set(sorted(BLOB)) == BLOB
+    assert as_coin_set([[1, 2], [1, 2]]) == {(1, 2)}
+
+
+PLACED = Placement(FlipKind.ROTATE_180, (0, 0))
+
+TAKES_COINS = {
+    "solve": lambda coins: solve(coins, FlipKind.ROTATE_180),
+    "target_set": lambda coins: target_set(coins, PLACED),
+    "protrusions": lambda coins: protrusions(coins, PLACED),
+    "move_plan": lambda coins: move_plan(coins, PLACED),
+    "flip_set": lambda coins: flip_set(coins, FlipKind.ROTATE_180),
+    "translate": lambda coins: translate(coins, (1, 1)),
+    "connected_components": connected_components,
+    "classify_triangle": classify_triangle,
+    "ascii_diagram": lambda coins: ascii_diagram(coins, coins),
+    "svg_diagram": lambda coins: svg_diagram(coins, coins),
+}
+
+
+@pytest.mark.parametrize(
+    "coins",
+    # the last is an up triangle if only the first two fields are read
+    [frozenset({(1, 2, 3)}), frozenset({(1,)}), frozenset({(0, 0), (1, 0), (0, 1, 5)})],
+    ids=["triple", "single", "mixed"],
+)
+@pytest.mark.parametrize("name", TAKES_COINS)
+def test_a_coin_that_is_not_a_pair_is_refused(name, coins):
+    with pytest.raises(ValueError):
+        TAKES_COINS[name](coins)
 
 
 def reference_components(coins):
@@ -123,7 +127,7 @@ def reference_components(coins):
         while stack:
             a, b = stack.pop()
             for da, db in NEIGHBOR_OFFSETS:
-                q = Coord(a + da, b + db)
+                q = (a + da, b + db)
                 if q in remaining:
                     remaining.discard(q)
                     component.add(q)
@@ -134,7 +138,7 @@ def reference_components(coins):
 
 
 point_sets = st.frozensets(
-    st.tuples(st.integers(-7, 7), st.integers(-7, 7)).map(lambda t: Coord(*t)),
+    st.tuples(st.integers(-7, 7), st.integers(-7, 7)),
     max_size=60,
 )
 
@@ -142,8 +146,5 @@ point_sets = st.frozensets(
 @given(point_sets)
 def test_components_match_the_set_based_search(points):
     expected = reference_components(points)
-    got = connected_components(points)
-    assert got == expected  # same components, in the same order
-    for component in got:
-        assert_coords(component)
-    assert connected_components(sorted(map(tuple, points), reverse=True)) == expected
+    assert connected_components(points) == expected  # same components, in the same order
+    assert connected_components(sorted(points, reverse=True)) == expected

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from coinflip.lattice import (
     Box,
-    Coord,
     FlipKind,
     NEIGHBOR_OFFSETS,
     classify_triangle,
@@ -18,11 +17,9 @@ from coinflip.lattice import (
     triangle_number_index,
 )
 
-coords = st.tuples(st.integers(-200, 200), st.integers(-200, 200)).map(
-    lambda t: Coord(*t)
-)
+coords = st.tuples(st.integers(-200, 200), st.integers(-200, 200))
 point_sets = st.frozensets(
-    st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(lambda t: Coord(*t)),
+    st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
     min_size=1,
     max_size=24,
 )
@@ -30,22 +27,22 @@ point_sets = st.frozensets(
 
 def neighbors(c) -> set:
     """The six lattice points one NEIGHBOR_OFFSETS step from c."""
-    return {Coord(c[0] + da, c[1] + db) for da, db in NEIGHBOR_OFFSETS}
+    return {(c[0] + da, c[1] + db) for da, db in NEIGHBOR_OFFSETS}
 
 
 def test_flip_images_of_sample_points():
-    assert FlipKind.ROTATE_180.apply(Coord(2, 1)) == Coord(-2, -1)
-    assert FlipKind.MIRROR_HORIZONTAL.apply(Coord(2, 1)) == Coord(-3, 1)
-    assert FlipKind.MIRROR_VERTICAL.apply(Coord(2, 1)) == Coord(3, -1)
+    assert FlipKind.ROTATE_180.apply((2, 1)) == (-2, -1)
+    assert FlipKind.MIRROR_HORIZONTAL.apply((2, 1)) == (-3, 1)
+    assert FlipKind.MIRROR_VERTICAL.apply((2, 1)) == (3, -1)
     # origin is fixed by every flip
     for kind in FlipKind:
-        assert kind.apply(Coord(0, 0)) == Coord(0, 0)
+        assert kind.apply((0, 0)) == (0, 0)
 
 
 def test_flips_are_involutions_on_grid():
     for a in range(-50, 51):
         for b in range(-50, 51):
-            p = Coord(a, b)
+            p = (a, b)
             for kind in FlipKind:
                 assert kind.apply(kind.apply(p)) == p
 
@@ -66,7 +63,7 @@ def test_flips_preserve_squared_distance(p, q):
 @given(point_sets, st.tuples(st.integers(-50, 50), st.integers(-50, 50)))
 def test_translation_preserves_distance_multiset(points, shift):
     ordered = sorted(points)
-    moved = [Coord(a + shift[0], b + shift[1]) for a, b in ordered]
+    moved = [(a + shift[0], b + shift[1]) for a, b in ordered]
     before = [distance_sq(p, q) for p in ordered for q in ordered]
     after = [distance_sq(p, q) for p in moved for q in moved]
     assert before == after
@@ -76,7 +73,7 @@ def test_translation_preserves_distance_multiset(points, shift):
 def test_embedding_matches_squared_distance(p):
     x, y = embed(p)
     dist = math.hypot(x, y)
-    assert math.isclose(dist * dist, distance_sq(Coord(0, 0), p), abs_tol=1e-6)
+    assert math.isclose(dist * dist, distance_sq((0, 0), p), abs_tol=1e-6)
 
 
 @given(coords)
@@ -105,10 +102,10 @@ def test_flip_set_is_a_bijection(points):
 
 
 def test_connected_components_splits_distant_point():
-    points = {Coord(0, 0), Coord(1, 0), Coord(2, 0), Coord(5, 5)}
+    points = {(0, 0), (1, 0), (2, 0), (5, 5)}
     comps = connected_components(points)
     assert [len(c) for c in comps] == [3, 1]
-    assert comps[1] == frozenset({Coord(5, 5)})
+    assert comps[1] == frozenset({(5, 5)})
 
 
 def test_connected_components_of_empty_set_is_empty():
@@ -180,17 +177,17 @@ def test_classify_triangle_recognises_both_orientations():
 
 
 def test_classify_triangle_rejects_row_of_three():
-    row = {Coord(0, 0), Coord(1, 0), Coord(2, 0)}
+    row = {(0, 0), (1, 0), (2, 0)}
     assert classify_triangle(row) is None
     assert not _congruent_to_some_triangle(row)
 
 
 def test_classify_triangle_rejects_non_triangular_counts():
-    assert classify_triangle({Coord(0, 0), Coord(1, 0)}) is None
+    assert classify_triangle({(0, 0), (1, 0)}) is None
 
 
 def test_classify_triangle_rejects_bent_shapes():
-    bent = {Coord(0, 0), Coord(1, 0), Coord(0, 1), Coord(1, 1), Coord(2, 0), Coord(-1, 2)}
+    bent = {(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (-1, 2)}
     assert classify_triangle(bent) is None
     assert not _congruent_to_some_triangle(bent)
 
@@ -214,7 +211,7 @@ def test_classify_triangle_agrees_with_distance_check(k, da, db, flipped):
 
 lines = st.builds(
     lambda start, step, length: frozenset(
-        Coord(start.a + i * step.a, start.b + i * step.b) for i in range(length)
+        (start[0] + i * step[0], start[1] + i * step[1]) for i in range(length)
     ),
     coords,
     st.sampled_from(NEIGHBOR_OFFSETS),

@@ -26,7 +26,7 @@ def records():
     }
 
 
-COMPONENT = "Component(coins=frozenset({Coord(a=0, b=2)}), size=1, triangle=('up', 1))"
+COMPONENT = "Component(coins=frozenset({(0, 2)}), size=1, triangle=('up', 1))"
 
 REPRS = {
     "OverlapResult": (
@@ -36,16 +36,13 @@ REPRS = {
     "ProtrusionReport": (
         "ProtrusionReport(placement=Placement(flip=<FlipKind.ROTATE_180: 'rot180'>, "
         f"shift=(1, 1)), source_components=({COMPONENT}, "
-        "Component(coins=frozenset({Coord(a=2, b=0)}), size=1, triangle=('up', 1))), "
-        "target_components=(Component(coins=frozenset({Coord(a=-1, b=1)}), size=1, "
-        "triangle=('up', 1)), Component(coins=frozenset({Coord(a=1, b=-1)}), size=1, "
+        "Component(coins=frozenset({(2, 0)}), size=1, triangle=('up', 1))), "
+        "target_components=(Component(coins=frozenset({(-1, 1)}), size=1, "
+        "triangle=('up', 1)), Component(coins=frozenset({(1, -1)}), size=1, "
         "triangle=('up', 1))), size_multiset=(1, 1, 0))"
     ),
     "Component": COMPONENT,
-    "MovePlan": (
-        "MovePlan(moves=((Coord(a=0, b=2), Coord(a=-1, b=1)), "
-        "(Coord(a=2, b=0), Coord(a=1, b=-1))))"
-    ),
+    "MovePlan": "MovePlan(moves=(((0, 2), (-1, 1)), ((2, 0), (1, -1))))",
     "Decomposition": "Decomposition(parts=(3, 1, 1), moves=5)",
 }
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coinflip.lattice import Coord, FlipKind
+from coinflip.lattice import FlipKind
 from coinflip.oracle import solve, target_set
 from coinflip.render import (
     ASCII_GLYPHS,
@@ -14,7 +14,7 @@ from coinflip.render import (
 from coinflip.shapes import hexagon, triangle_up
 
 point_sets = st.frozensets(
-    st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(lambda t: Coord(*t)),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
     min_size=1,
     max_size=14,
 )
@@ -93,13 +93,13 @@ def test_ascii_glyphs_sit_at_their_cells(points, flip):
         for col, glyph in enumerate(line):
             if glyph != " ":
                 assert (col + min_col - b) % 2 == 0
-                drawn[Coord((col + min_col - b) // 2, b)] = kind_of[glyph]
+                drawn[((col + min_col - b) // 2, b)] = kind_of[glyph]
     assert drawn == cells
 
 
 def test_far_flung_ascii_extent_is_computed_not_drawn():
     # only the extent is computed: the grid itself would be 2^40 lines long
-    start = frozenset({Coord(0, 0), Coord(2**40, 2**40)})
+    start = frozenset({(0, 0), (2**40, 2**40)})
     _, target = best_target(start, FlipKind.ROTATE_180)
     lines, columns = 2**40 + 1, 3 * 2**40 + 1
     assert lines * columns > MAX_ASCII_CHARS
@@ -111,7 +111,7 @@ def test_far_flung_ascii_extent_is_computed_not_drawn():
     "coin", [(MAX_SVG_COORD, 0), (0, -MAX_SVG_COORD)], ids=["a=2^51", "b=-2^51"]
 )
 def test_svg_refuses_a_coordinate_at_the_bound(coin):
-    start = frozenset({Coord(0, 0), Coord(*coin)})
+    start = frozenset({(0, 0), coin})
     with pytest.raises(ValueError, match="SVG diagram needs every coordinate below"):
         svg_diagram(start, start)
 

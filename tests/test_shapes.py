@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from coinflip.lattice import Coord, FlipKind, connected_components, flip_set, translate
+from coinflip.lattice import FlipKind, connected_components, flip_set, translate
 from coinflip.shapes import (
     FAMILIES,
     ShapeFormatError,
@@ -23,9 +23,9 @@ def test_triangle_row_structure():
     tri = triangle_up(4)
     # row b holds n - b coins, 0 <= b < n
     for b in range(4):
-        row = {p for p in tri if p.b == b}
+        row = {p for p in tri if p[1] == b}
         assert len(row) == 4 - b
-        assert row == {Coord(a, b) for a in range(4 - b)}
+        assert row == {(a, b) for a in range(4 - b)}
 
 
 def test_triangle_grows_by_one_row():
@@ -33,7 +33,7 @@ def test_triangle_grows_by_one_row():
     # yields the (n+1)-triangle
     for n in range(1, 20):
         lifted = translate(triangle_up(n), (0, 1))
-        base = {Coord(a, 0) for a in range(n + 1)}
+        base = {(a, 0) for a in range(n + 1)}
         assert lifted | base == triangle_up(n + 1)
 
 
@@ -42,7 +42,7 @@ def test_rhombus_point_counts_and_extent():
         r = rhombus(n)
         assert len(r) == n * n
     assert rhombus(3) == frozenset(
-        Coord(a, b) for a in range(3) for b in range(3)
+        (a, b) for a in range(3) for b in range(3)
     )
 
 
@@ -77,16 +77,16 @@ def test_generators_reject_nonpositive_size(maker):
 
 def test_load_custom_parses_comments_and_blanks():
     text = "# heading\n\n0 0\n1 0\n\n0 1\n"
-    assert load_custom(text) == frozenset({Coord(0, 0), Coord(1, 0), Coord(0, 1)})
+    assert load_custom(text) == frozenset({(0, 0), (1, 0), (0, 1)})
 
 
 def test_load_custom_accepts_crlf_and_negative_coords():
-    assert load_custom("-2 5\r\n3 -4\r\n") == frozenset({Coord(-2, 5), Coord(3, -4)})
+    assert load_custom("-2 5\r\n3 -4\r\n") == frozenset({(-2, 5), (3, -4)})
 
 
 def test_load_custom_takes_ascii_spaces_and_tabs_as_blanks():
     text = "\t-2 \t5 \r\n 3\t-4\t\n"
-    assert load_custom(text) == frozenset({Coord(-2, 5), Coord(3, -4)})
+    assert load_custom(text) == frozenset({(-2, 5), (3, -4)})
 
 
 def test_load_custom_reports_bad_line_number():
@@ -114,7 +114,7 @@ def test_load_custom_rejects_empty_file():
 
 
 def test_serialize_is_sorted_with_trailing_newline():
-    text = serialize({Coord(1, 0), Coord(0, 1), Coord(0, 0)})
+    text = serialize({(1, 0), (0, 1), (0, 0)})
     assert text == "0 0\n0 1\n1 0\n"
 
 
@@ -125,7 +125,7 @@ def test_serialize_round_trip():
 
 @given(
     st.frozensets(
-        st.tuples(st.integers(-30, 30), st.integers(-30, 30)).map(lambda t: Coord(*t)),
+        st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
         min_size=1,
         max_size=40,
     )
@@ -135,7 +135,7 @@ def test_serialize_round_trip_random(points):
     assert text.endswith("\n")
     lines = text.splitlines()
     assert len(lines) == len(points)
-    parsed = frozenset(Coord(*map(int, line.split())) for line in lines)
+    parsed = frozenset(tuple(map(int, line.split())) for line in lines)
     assert parsed == points
 
 
