@@ -22,8 +22,6 @@ from coinflip.lattice import (
     classify_triangle,
     connected_components,
     distance_sq,
-    flip_set,
-    translate,
 )
 from coinflip.oracle import (
     MovePlan,
@@ -41,7 +39,6 @@ from coinflip.shapes import (
     hexagon,
     load_custom,
     rhombus,
-    serialize,
     triangle_up,
 )
 
@@ -59,7 +56,6 @@ __all__ = [
     "classify_triangle",
     "connected_components",
     "distance_sq",
-    "flip_set",
     "hexagon",
     "load_custom",
     "move_plan",
@@ -68,10 +64,8 @@ __all__ = [
     "rhombus_moves_new",
     "rhombus_moves_old",
     "rhombus_moves_polynomial",
-    "serialize",
     "solve",
     "target_set",
-    "translate",
     "triangle_move_increment",
     "triangle_moves_new",
     "triangle_moves_old",

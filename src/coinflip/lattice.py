@@ -5,6 +5,9 @@ in the plane, so two coins of diameter 1 touch exactly when their squared
 distance a*a + a*b + b*b equals 1. Everything here is exact integer
 arithmetic; the float embedding exists only for drawing.
 
+A flip (FlipKind) reaches coins through `flip_points`, which flips and
+then shifts them, and boxes through `Box.flip`.
+
 A coin is a plain (a, b) tuple of ints. Public functions accept any
 iterable of (a, b) pairs: `as_coin_set` keeps a frozenset as it is and
 converts anything else once. A coin that is not a pair raises ValueError
@@ -42,11 +45,6 @@ class FlipKind(Enum):
     MIRROR_HORIZONTAL = "mirror-h"
     MIRROR_VERTICAL = "mirror-v"
 
-    def apply(self, c) -> tuple[int, int]:
-        p, q, r, s = _FLIP_MATRICES[self]
-        a, b = c
-        return (p * a + q * b, r * a + s * b)
-
 
 # Every flip is linear, (a, b) -> (p*a + q*b, r*a + s*b). This table, as
 # (p, q, r, s), is the one description of each flip.
@@ -80,7 +78,8 @@ class Box(NamedTuple):
     @classmethod
     def of(cls, points) -> Box:
         """The least box holding every point of a nonempty set."""
-        a_s, b_s = zip(*points)
+        # strict: a coin that is not a pair raises, as where others unpack it
+        a_s, b_s = zip(*points, strict=True)
         sums = list(map(add, a_s, b_s))
         return cls(min(a_s), max(a_s), min(b_s), max(b_s), min(sums), max(sums))
 
@@ -114,16 +113,6 @@ def flip_points(coins, flip: FlipKind, shift=(0, 0)) -> list[tuple[int, int]]:
     p, q, r, s = _FLIP_MATRICES[flip]
     da, db = shift
     return [(p * a + q * b + da, r * a + s * b + db) for a, b in coins]
-
-
-def flip_set(coins, flip: FlipKind) -> CoinSet:
-    """The image of `coins` under `flip`."""
-    return frozenset(flip_points(coins, flip))
-
-
-def translate(coins, shift) -> CoinSet:
-    da, db = shift
-    return frozenset((a + da, b + db) for a, b in coins)
 
 
 def distance_sq(c, d) -> int:

@@ -20,7 +20,7 @@ only when it is read. The key layout stays in `_scan`.
 
 Both kernels are exact, so a placement under the solved flip is optimal
 exactly when it moves min_moves coins; protrusions() and move_plan()
-check that count, not the keys.
+take the solve() result and check that count, not the keys.
 
 Coin inputs may be any iterable of (a, b) pairs. A frozenset, as the
 shape generators and the shape-file parser return it, is used as it is;
@@ -132,12 +132,22 @@ class MovePlan(NamedTuple):
     moves: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
     def apply(self, start) -> frozenset:
+        """The coins after every move, made at once. Raises ValueError
+        unless each move takes its own start coin to its own free cell,
+        so that no coin is created or destroyed."""
         start = as_coin_set(start)
         froms = frozenset(m[0] for m in self.moves)
         tos = frozenset(m[1] for m in self.moves)
+        if len(froms) < len(self.moves):
+            raise ValueError("plan does not apply: a coin moves twice")
+        if len(tos) < len(self.moves):
+            raise ValueError("plan does not apply: two coins move to one cell")
         if not froms <= start:
             raise ValueError("plan does not apply: missing source coins")
-        return (start - froms) | tos
+        stay = start - froms
+        if not stay.isdisjoint(tos):
+            raise ValueError("plan does not apply: a destination holds a coin that stays")
+        return stay | tos
 
 
 def target_set(start, placement: Placement) -> frozenset:
@@ -173,8 +183,6 @@ def _optimal_sets(start, placement, result):
     """The placement's target set and the start coins that move to it,
     after checking that it is optimal: it moves min_moves coins under the
     result's flip."""
-    if result is None:
-        result = solve(start, placement.flip)
     optimal = result.optimal_placements
     if placement.flip != optimal.flip:
         raise ValueError(
@@ -205,7 +213,8 @@ def protrusions(
     start,
     placement: Placement,
     expected_parts: Optional[int] = None,
-    result: Optional[OverlapResult] = None,
+    *,
+    result: OverlapResult,
 ) -> ProtrusionReport:
     """Decompose an optimal placement into the coin clusters that move.
 
@@ -214,8 +223,8 @@ def protrusions(
     multiset is sorted descending and zero-padded to expected_parts
     (3 for triangles, 2 for rhombi; pass None to keep the raw count).
 
-    Pass the OverlapResult from solve() to skip re-solving; the placement
-    is rejected if it is not one of the optimal ones.
+    `result` is solve(start, placement.flip); the placement is rejected
+    if it is not one of its optimal ones.
     """
     start = as_coin_set(start)
     target, source = _optimal_sets(start, placement, result)
@@ -239,12 +248,14 @@ def protrusions(
 def move_plan(
     start,
     placement: Placement,
-    result: Optional[OverlapResult] = None,
+    *,
+    result: OverlapResult,
 ) -> MovePlan:
     """Explicit coin moves realizing an optimal placement.
 
     Sources and destinations are paired in lexicographic order; any
     pairing costs the same number of moves, this one is just canonical.
+    `result` and the check of the placement are as for protrusions().
     """
     start = as_coin_set(start)
     target, source = _optimal_sets(start, placement, result)

@@ -80,7 +80,8 @@ _SVG_STYLE = """\
 def fits_svg(cells) -> bool:
     """Whether every cell's |a| and |b| stay below MAX_SVG_COORD, so that
     svg_diagram can place each one exactly."""
-    a_s, b_s = zip(*cells)
+    # strict: a coin that is not a pair raises, as where others unpack it
+    a_s, b_s = zip(*cells, strict=True)
     return max(map(abs, a_s + b_s)) < MAX_SVG_COORD
 
 

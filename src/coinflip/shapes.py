@@ -20,10 +20,10 @@ _COORDS = re.compile(r"(-?[0-9]+)[ \t]+(-?[0-9]+)")
 
 
 class ShapeFormatError(ValueError):
-    """Raised for malformed shape files; carries a 1-based line number."""
+    """Raised for malformed shape files; the message starts with the
+    1-based line number when there is one."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
@@ -61,11 +61,6 @@ def load_custom(source: str) -> frozenset:
     if not coins:
         raise ShapeFormatError("shape file contains no coins")
     return frozenset(coins)
-
-
-def serialize(coins) -> str:
-    """Inverse of load_custom: sorted `a b` lines, LF-terminated."""
-    return "".join(f"{a} {b}\n" for a, b in sorted(coins))
 
 
 class Family(NamedTuple):

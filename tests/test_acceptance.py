@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coinflip import cli, formulas, oracle, shapes
-from coinflip.lattice import FlipKind, distance_sq
+from coinflip.lattice import FlipKind, distance_sq, flip_points
 from golden_tables import RHOMBUS_TABLE, TRIANGLE_TABLE, moves_of, parts_of
 
 
@@ -171,7 +171,7 @@ point_sets = st.frozensets(
 @settings(max_examples=200)
 def _prop_involution(p):
     for kind in FlipKind:
-        assert kind.apply(kind.apply(p)) == p
+        assert flip_points(flip_points([p], kind), kind) == [p]
 
 
 @given(coords, coords)
@@ -179,7 +179,7 @@ def _prop_involution(p):
 def _prop_isometry(p, q):
     d = distance_sq(p, q)
     for kind in FlipKind:
-        assert distance_sq(kind.apply(p), kind.apply(q)) == d
+        assert distance_sq(*flip_points([p, q], kind)) == d
 
 
 @given(point_sets, st.sampled_from(list(FlipKind)))

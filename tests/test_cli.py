@@ -4,7 +4,7 @@ import io
 import pytest
 
 from coinflip import cli, formulas, render
-from coinflip.shapes import ShapeFormatError, load_custom, rhombus, serialize, triangle_up
+from coinflip.shapes import ShapeFormatError, load_custom, rhombus, triangle_up
 from golden_tables import RHOMBUS_TABLE, TRIANGLE_TABLE, moves_of
 
 USAGE = "usage: coinflip [-h] {solve,table,render,verify,analyze} ...\n"
@@ -21,6 +21,11 @@ def run_error(capsys, argv):
         cli.main(argv)
     captured = capsys.readouterr()
     return exc.value.code, captured.err
+
+
+def serialize(coins) -> str:
+    """Coins in shape-file syntax: sorted `a b` lines, LF-terminated."""
+    return "".join(f"{a} {b}\n" for a, b in sorted(coins))
 
 
 # ---------------------------------------------------------------- solve

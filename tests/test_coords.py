@@ -12,15 +12,15 @@ from hypothesis import given, strategies as st
 
 from coinflip.lattice import (
     NEIGHBOR_OFFSETS,
+    Box,
     FlipKind,
     as_coin_set,
     classify_triangle,
     connected_components,
-    flip_set,
-    translate,
+    flip_points,
 )
 from coinflip.oracle import Placement, move_plan, protrusions, solve, target_set
-from coinflip.render import ascii_diagram, classify_cells, svg_diagram
+from coinflip.render import ascii_diagram, classify_cells, fits_svg, svg_diagram
 from coinflip.shapes import rhombus, triangle_up
 
 BLOB = frozenset(
@@ -57,8 +57,8 @@ def test_protrusions_and_move_plan_return_coords(shape, flip):
     report = protrusions(shape, placement, result=result)
     plan = move_plan(shape, placement, result=result)
     for pairs in plain_inputs(shape):
-        assert protrusions(pairs, placement) == report
-        got_plan = move_plan(pairs, placement)
+        assert protrusions(pairs, placement, result=result) == report
+        got_plan = move_plan(pairs, placement, result=result)
         assert got_plan == plan
         assert got_plan.apply(pairs) == plan.apply(shape)
 
@@ -75,9 +75,11 @@ def test_classify_cells_keys_are_coords(shape, flip):
 def test_lattice_set_functions_return_coords():
     for pairs in plain_inputs(BLOB):
         for flip in FlipKind:
-            assert flip_set(pairs, flip) == flip_set(BLOB, flip)
-        assert translate(pairs, (3, -4)) == translate(BLOB, (3, -4))
+            assert sorted(flip_points(pairs, flip, (3, -4))) == sorted(
+                flip_points(BLOB, flip, (3, -4))
+            )
         assert connected_components(pairs) == connected_components(BLOB)
+        assert Box.of(pairs) == Box.of(BLOB)
 
 
 def test_as_coin_set_keeps_a_coord_frozenset():
@@ -87,18 +89,21 @@ def test_as_coin_set_keeps_a_coord_frozenset():
 
 
 PLACED = Placement(FlipKind.ROTATE_180, (0, 0))
+# a result under PLACED's flip, where PLACED is optimal for one coin
+ONE_COIN = solve({(0, 0)}, PLACED.flip)
 
 TAKES_COINS = {
     "solve": lambda coins: solve(coins, FlipKind.ROTATE_180),
     "target_set": lambda coins: target_set(coins, PLACED),
-    "protrusions": lambda coins: protrusions(coins, PLACED),
-    "move_plan": lambda coins: move_plan(coins, PLACED),
-    "flip_set": lambda coins: flip_set(coins, FlipKind.ROTATE_180),
-    "translate": lambda coins: translate(coins, (1, 1)),
+    "protrusions": lambda coins: protrusions(coins, PLACED, result=ONE_COIN),
+    "move_plan": lambda coins: move_plan(coins, PLACED, result=ONE_COIN),
+    "flip_points": lambda coins: flip_points(coins, FlipKind.ROTATE_180),
+    "Box.of": Box.of,
     "connected_components": connected_components,
     "classify_triangle": classify_triangle,
     "ascii_diagram": lambda coins: ascii_diagram(coins, coins),
     "svg_diagram": lambda coins: svg_diagram(coins, coins),
+    "fits_svg": fits_svg,
 }
 
 

@@ -12,10 +12,9 @@ from coinflip.lattice import (
     distance_sq,
     embed,
     flip_points,
-    flip_set,
-    translate,
     triangle_number_index,
 )
+from coinflip.oracle import Placement, target_set
 
 coords = st.tuples(st.integers(-200, 200), st.integers(-200, 200))
 point_sets = st.frozensets(
@@ -31,33 +30,31 @@ def neighbors(c) -> set:
 
 
 def test_flip_images_of_sample_points():
-    assert FlipKind.ROTATE_180.apply((2, 1)) == (-2, -1)
-    assert FlipKind.MIRROR_HORIZONTAL.apply((2, 1)) == (-3, 1)
-    assert FlipKind.MIRROR_VERTICAL.apply((2, 1)) == (3, -1)
+    assert flip_points([(2, 1)], FlipKind.ROTATE_180) == [(-2, -1)]
+    assert flip_points([(2, 1)], FlipKind.MIRROR_HORIZONTAL) == [(-3, 1)]
+    assert flip_points([(2, 1)], FlipKind.MIRROR_VERTICAL) == [(3, -1)]
     # origin is fixed by every flip
     for kind in FlipKind:
-        assert kind.apply((0, 0)) == (0, 0)
+        assert flip_points([(0, 0)], kind) == [(0, 0)]
 
 
 def test_flips_are_involutions_on_grid():
-    for a in range(-50, 51):
-        for b in range(-50, 51):
-            p = (a, b)
-            for kind in FlipKind:
-                assert kind.apply(kind.apply(p)) == p
+    grid = [(a, b) for a in range(-50, 51) for b in range(-50, 51)]
+    for kind in FlipKind:
+        assert flip_points(flip_points(grid, kind), kind) == grid
 
 
 @given(coords)
 def test_flips_are_involutions(p):
     for kind in FlipKind:
-        assert kind.apply(kind.apply(p)) == p
+        assert flip_points(flip_points([p], kind), kind) == [p]
 
 
 @given(coords, coords)
 def test_flips_preserve_squared_distance(p, q):
     d = distance_sq(p, q)
     for kind in FlipKind:
-        assert distance_sq(kind.apply(p), kind.apply(q)) == d
+        assert distance_sq(*flip_points([p, q], kind)) == d
 
 
 @given(point_sets, st.tuples(st.integers(-50, 50), st.integers(-50, 50)))
@@ -96,9 +93,9 @@ def test_neighbor_offsets_come_in_opposite_pairs():
 @given(point_sets)
 def test_flip_set_is_a_bijection(points):
     for kind in FlipKind:
-        image = flip_set(points, kind)
+        image = target_set(points, Placement(kind, (0, 0)))
         assert len(image) == len(points)
-        assert flip_set(image, kind) == frozenset(points)
+        assert target_set(image, Placement(kind, (0, 0))) == frozenset(points)
 
 
 def test_connected_components_splits_distant_point():
@@ -165,11 +162,13 @@ def test_classify_triangle_recognises_both_orientations():
 
     for k in range(1, 8):
         up = triangle_up(k)
-        down = flip_set(up, FlipKind.ROTATE_180)
+        down = target_set(up, Placement(FlipKind.ROTATE_180, (0, 0)))
         for shift in [(0, 0), (3, -2), (-7, 11)]:
-            orient, size = classify_triangle(translate(up, shift))
+            # the shifted half-turn of each triangle is a translate of the other
+            half_turn = Placement(FlipKind.ROTATE_180, shift)
+            orient, size = classify_triangle(target_set(down, half_turn))
             assert (orient, size) == ("up", k)
-            orient, size = classify_triangle(translate(down, shift))
+            orient, size = classify_triangle(target_set(up, half_turn))
             if k == 1:
                 assert (orient, size) == ("up", 1)  # single coin: canonical "up"
             else:
@@ -202,9 +201,9 @@ def test_classify_triangle_agrees_with_distance_check(k, da, db, flipped):
     from coinflip.shapes import triangle_up
 
     tri = triangle_up(k)
-    if flipped:
-        tri = flip_set(tri, FlipKind.ROTATE_180)
-    placed = translate(tri, (da, db))
+    if not flipped:  # the shifted half-turn below turns it back up
+        tri = target_set(tri, Placement(FlipKind.ROTATE_180, (0, 0)))
+    placed = target_set(tri, Placement(FlipKind.ROTATE_180, (da, db)))
     assert classify_triangle(placed) is not None
     assert _congruent_to_some_triangle(placed)
 

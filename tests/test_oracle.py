@@ -15,8 +15,9 @@ from coinflip._scan import (
     product_scan,
     scan_pairs,
 )
-from coinflip.lattice import NEIGHBOR_OFFSETS, FlipKind, flip_set, translate
+from coinflip.lattice import NEIGHBOR_OFFSETS, FlipKind, flip_points
 from coinflip.oracle import (
+    MovePlan,
     Placement,
     backend,
     move_plan,
@@ -38,7 +39,7 @@ def box_scan(start, flip):
     all start/image coordinate differences and count overlap directly.
     Slower and structured differently from the production pair scan."""
     start = frozenset(start)
-    image = flip_set(start, flip)
+    image = target_set(start, Placement(flip, (0, 0)))
     a_lo = min(a for a, _ in start) - max(a for a, _ in image)
     a_hi = max(a for a, _ in start) - min(a for a, _ in image)
     b_lo = min(b for _, b in start) - max(b for _, b in image)
@@ -46,7 +47,7 @@ def box_scan(start, flip):
     best, shifts = 0, []
     for da in range(a_lo, a_hi + 1):
         for db in range(b_lo, b_hi + 1):
-            overlap = len(start & translate(image, (da, db)))
+            overlap = len(start & target_set(start, Placement(flip, (da, db))))
             if overlap > best:
                 best, shifts = overlap, [(da, db)]
             elif overlap == best and overlap > 0:
@@ -176,7 +177,7 @@ def test_oracle_matches_bounding_box_scan():
 
 def scan_inputs(shape, flip):
     start = sorted(shape)
-    return start, sorted(flip.apply(c) for c in start)
+    return start, sorted(flip_points(start, flip))
 
 
 def assert_kernels_agree(start, flipped):
@@ -198,7 +199,8 @@ def test_product_and_counter_kernels_agree():
 )
 @settings(max_examples=80, deadline=None)
 def test_kernels_agree_on_shifted_shapes(points, offset, flip):
-    start, flipped = scan_inputs(translate(points, offset), flip)
+    # a flipped shape is as good a shape; this one sits near the offset
+    start, flipped = scan_inputs(target_set(points, Placement(flip, offset)), flip)
     assert_kernels_agree(start, flipped)
 
 
@@ -308,9 +310,8 @@ def check_against_a_tuple_counter(points, flip, data):
     assert all(type(k) is int for k in placements.keys)
     assert placements.keys == sorted(set(placements.keys))
     assert [p.shift for p in placements] == expected
-    image = flip_set(points, flip)
     for placement in placements:
-        assert len(points & translate(image, placement.shift)) == best
+        assert len(points & target_set(points, placement)) == best
 
     # the lazy view answers like the tuple it decodes to
     placed = tuple(Placement(flip, t) for t in expected)
@@ -368,7 +369,7 @@ def test_move_plan_reaches_the_target(points, flip):
 @settings(max_examples=60, deadline=None)
 def test_flipping_the_flipped_shape_costs_the_same(points, flip):
     # solving from the image back to the original is the same problem
-    image = flip_set(points, flip)
+    image = target_set(points, Placement(flip, (0, 0)))
     assert solve(points, flip).min_moves == solve(image, flip).min_moves
 
 
@@ -405,18 +406,42 @@ def test_move_plan_empty_when_already_symmetric():
 def test_move_plan_rhombus_3_lands_on_mirror_image():
     start = rhombus(3)
     placement = Placement(FlipKind.MIRROR_HORIZONTAL, (3, 0))
-    plan = move_plan(start, placement)
+    plan = move_plan(start, placement, result=solve(start, placement.flip))
     assert len(plan.moves) == 2
     assert plan.apply(start) == target_set(start, placement)
+
+
+def test_moves_onto_cells_that_other_moves_empty_apply():
+    start = {(0, 0), (1, 0)}
+    swap = MovePlan(moves=(((0, 0), (1, 0)), ((1, 0), (0, 0))))
+    assert swap.apply(start) == start
+    chain = MovePlan(moves=(((0, 0), (1, 0)), ((1, 0), (2, 0))))
+    assert chain.apply(start) == {(1, 0), (2, 0)}
+
+
+@pytest.mark.parametrize(
+    "moves, reason",
+    [
+        ((((0, 0), (1, 0)),), "a destination holds a coin that stays"),
+        ((((0, 0), (5, 5)), ((0, 0), (6, 6))), "a coin moves twice"),
+        ((((0, 0), (5, 5)), ((1, 0), (5, 5))), "two coins move to one cell"),
+        ((((2, 2), (5, 5)),), "missing source coins"),
+    ],
+    ids=["onto-a-stay", "repeated-source", "repeated-destination", "missing-source"],
+)
+def test_a_plan_that_would_create_or_destroy_coins_does_not_apply(moves, reason):
+    with pytest.raises(ValueError, match=f"plan does not apply: {reason}"):
+        MovePlan(moves=moves).apply({(0, 0), (1, 0)})
 
 
 def test_nonoptimal_placement_is_rejected():
     start = triangle_up(4)
     bad = Placement(FlipKind.ROTATE_180, (99, 99))
+    result = solve(start, bad.flip)
     with pytest.raises(ValueError, match="not optimal"):
-        protrusions(start, bad)
+        protrusions(start, bad, result=result)
     with pytest.raises(ValueError, match="not optimal"):
-        move_plan(start, bad)
+        move_plan(start, bad, result=result)
 
 
 def test_far_flung_rejection_lists_few_shifts():
@@ -440,7 +465,7 @@ def test_a_shift_is_accepted_exactly_when_it_ties(points, flip, data):
     # the difference window, that must pick out exactly the tied shifts
     result = solve(points, flip)
     optimal = shifts_of(result)
-    image = flip_set(points, flip)
+    image = target_set(points, Placement(flip, (0, 0)))
 
     def window(axis):
         lo = min(p[axis] for p in points) - max(p[axis] for p in image)
@@ -512,8 +537,12 @@ def test_protrusion_components_classify_for_triangles():
 
 
 def test_triangle_zero_padding():
+    start = triangle_up(1)
     report = protrusions(
-        triangle_up(1), Placement(FlipKind.ROTATE_180, (0, 0)), expected_parts=3
+        start,
+        Placement(FlipKind.ROTATE_180, (0, 0)),
+        expected_parts=3,
+        result=solve(start, FlipKind.ROTATE_180),
     )
     assert report.size_multiset == (0, 0, 0)
 
