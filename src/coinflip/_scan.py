@@ -28,17 +28,17 @@ a, so a cell's index is its key. Both kernels return the tied keys,
 sorted; the layout stays in this module, and callers decode a key with
 `Grid.shift`.
 
-`scan_pairs` reads both bounding boxes into a `Grid` and runs the kernel
-that `kernel_for` picks from the grid and the pair count: the cheaper
-one by the cost model (`prefers_product`). Dense shapes such as the
-triangle and rhombus families have grids far smaller than their pair
-counts; far-flung or sparse shapes do not, and stay on the Counter.
-`kernel_for` refuses, before either kernel allocates anything, a scan
-estimated to take longer than MAX_SCAN_NS, or a Counter scan whose keys
-could need more than MAX_SCAN_BYTES (`counter_bytes`). The grid depends
-on the points only through their `lattice.Box` hulls (`box_grid`), so a
-caller that knows a shape's box and size without its points (the CLI,
-from a family's box) checks it the same way before building it.
+`scan_pairs` runs the kernel that `kernel_for` picks from the grid and
+the pair count: the cheaper one by the cost model (`prefers_product`).
+Dense shapes such as the triangle and rhombus families have grids far
+smaller than their pair counts; far-flung or sparse shapes do not, and
+stay on the Counter. `kernel_for` refuses, before either kernel
+allocates anything, a scan estimated to take longer than MAX_SCAN_NS, or
+a Counter scan whose keys could need more than MAX_SCAN_BYTES
+(`counter_bytes`). A flip maps a shape's `lattice.Box` hull onto its
+image's (`Box.flip`), so the grid is `box_grid(hull, flip, coins)`, the
+one call with which `oracle.solve` scans and the CLI checks a shape
+before building it.
 """
 
 import math
@@ -48,7 +48,7 @@ from bisect import bisect_left
 from collections import Counter
 from typing import NamedTuple
 
-from coinflip.lattice import Box
+from coinflip.lattice import Box, FlipKind
 
 # Cost model, in nanoseconds, measured on CPython 3.11 on a 2-core x86
 # VM. The Counter spends about 400 ns per pair. The product kernel spends
@@ -122,24 +122,20 @@ def cell_bytes(most: int) -> int:
     return 1 if most < 1 << 8 else 2 if most < 1 << 16 else 4
 
 
-def box_grid(start: Box, flipped: Box, most: int) -> Grid:
-    """The shift-key layout of a start box against a flipped box, where no
-    overlap exceeds `most` (the smaller of the two point counts)."""
+def box_grid(box: Box, flip: FlipKind, count: int) -> Grid:
+    """The shift-key layout of `count` coins with hull `box` against their
+    image under `flip`, whose hull is `box.flip(flip)`."""
+    image = box.flip(flip)
     return Grid(
-        width=start.b_hi - start.b_lo + flipped.b_hi - flipped.b_lo + 1,
-        start_rows=start.a_hi - start.a_lo + 1,
-        flipped_rows=flipped.a_hi - flipped.a_lo + 1,
-        start_a=start.a_lo,
-        start_b=start.b_lo,
-        flipped_a=flipped.a_hi,
-        flipped_b=flipped.b_hi,
-        cell_bytes=cell_bytes(most),
+        width=box.b_hi - box.b_lo + image.b_hi - image.b_lo + 1,
+        start_rows=box.a_hi - box.a_lo + 1,
+        flipped_rows=image.a_hi - image.a_lo + 1,
+        start_a=box.a_lo,
+        start_b=box.b_lo,
+        flipped_a=image.a_hi,
+        flipped_b=image.b_hi,
+        cell_bytes=cell_bytes(count),
     )
-
-
-def grid_of(start, flipped) -> Grid:
-    """The shift-key layout of two point sets, from their boxes alone."""
-    return box_grid(Box.of(start), Box.of(flipped), min(len(start), len(flipped)))
 
 
 def _product_ns(grid: Grid) -> float:
@@ -292,16 +288,14 @@ def kernel_for(grid: Grid, pairs: int):
     return counter_scan
 
 
-def scan_pairs(start, flipped):
+def scan_pairs(start, flipped, grid: Grid):
     """Best overlap over all translations of `flipped` onto `start`.
 
-    Both arguments are nonempty collections of distinct (a, b) pairs. Returns
-    (max_overlap, keys, grid): the sorted keys of every shift achieving
-    the maximum, which `grid.shift` decodes. Raises ScanBudgetError, before
-    either kernel allocates anything, when `kernel_for` refuses the scan.
+    Both point arguments are nonempty collections of distinct (a, b)
+    pairs, laid out as `grid` (`box_grid`). Returns (max_overlap, keys),
+    the sorted tied keys that `grid.shift` decodes. `kernel_for` picks the
+    kernel, or refuses the scan before either allocates (ScanBudgetError).
     """
     if not start or not flipped:
         raise ValueError("scan_pairs requires nonempty point lists")
-    grid = grid_of(start, flipped)
-    best, keys = kernel_for(grid, len(start) * len(flipped))(start, flipped, grid)
-    return best, keys, grid
+    return kernel_for(grid, len(start) * len(flipped))(start, flipped, grid)

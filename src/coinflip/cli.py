@@ -96,7 +96,7 @@ def _add_shape_args(sub: argparse.ArgumentParser):
 def _check_scans(box: Box, count: int, flips):
     """Raise ScanBudgetError if kernel_for refuses any flip's scan of `count` coins in `box`."""
     for flip in flips:
-        kernel_for(box_grid(box, box.flip(flip), count), count * count)
+        kernel_for(box_grid(box, flip, count), count * count)
 
 
 def _resolve_shape(args, parser, every_flip=False):
@@ -113,7 +113,7 @@ def _resolve_shape(args, parser, every_flip=False):
         if args.size is not None:
             parser.error(f"--shape-file cannot be combined with size {args.size}")
         try:
-            with open(args.shape_file, encoding="utf-8") as fh:
+            with open(args.shape_file, encoding="utf-8", newline="") as fh:  # keep every CR
                 coins = shapes.load_custom(fh.read())
         except OSError as exc:
             parser.error(f"cannot read shape file: {exc}")

@@ -38,6 +38,7 @@ from typing import NamedTuple, Optional
 
 from coinflip import _scan
 from coinflip.lattice import (
+    Box,
     FlipKind,
     as_coin_set,
     classify_triangle,
@@ -161,11 +162,13 @@ def solve(start, flip: FlipKind) -> OverlapResult:
     Every translation achieving any overlap at all is evaluated, so the
     reported maximum is exact and optimal_placements holds all maximizing
     shifts in ascending (da, db) order, as a lazy read-only sequence.
+    The scan's grid is `_scan.box_grid(Box.of(start), flip, len(start))`.
     """
     start = as_coin_set(start)
     if not start:
         raise ValueError("cannot solve an empty coin set")
-    best, keys, grid = _scan.scan_pairs(start, flip_points(start, flip))
+    grid = _scan.box_grid(Box.of(start), flip, len(start))
+    best, keys = _scan.scan_pairs(start, flip_points(start, flip), grid)
     return OverlapResult(
         total_coins=len(start),
         max_overlap=best,

@@ -33,12 +33,14 @@ def load_custom(source: str) -> frozenset:
     Each coordinate is an optional minus sign and ASCII digits. The two
     are separated by ASCII spaces or tabs, which may also pad the line.
 
-    Lines starting with `#` are comments; blank lines are ignored; CRLF is
-    accepted. Duplicate coordinates and empty shapes are rejected.
+    `#` starts a comment line; blank lines are ignored; a CR is accepted
+    only before an LF. Duplicate coordinates and empty shapes are rejected.
     """
     coins: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(source.split("\n"), start=1):
-        line = raw.rstrip("\r").strip(" \t")
+    for lineno, raw in enumerate(source.replace("\r\n", "\n").split("\n"), start=1):
+        if "\r" in raw:
+            raise ShapeFormatError("stray carriage return; only CRLF may end a line", lineno)
+        line = raw.strip(" \t")
         if not line or line.startswith("#"):
             continue
         fields = _COORDS.fullmatch(line)

@@ -13,8 +13,8 @@ from collections import Counter
 from unittest.mock import patch
 
 from coinflip import _scan, cli
-from coinflip._scan import BAND_PAIRS, counter_scan, grid_of
-from coinflip.lattice import FlipKind, flip_points
+from coinflip._scan import BAND_PAIRS, Grid, box_grid, cell_bytes, counter_scan
+from coinflip.lattice import Box, FlipKind, flip_points
 
 
 def line(*bs):
@@ -28,16 +28,32 @@ def tuple_counter(start, flipped):
     return best, sorted(t for t, c in counts.items() if c == best)
 
 
-def decoded(start, flipped):
-    """counter_scan's best and tied shifts, its keys decoded by grid_of."""
-    grid = grid_of(start, flipped)
+def hull_grid(start, flipped):
+    """The Grid of any two point sets, read off their own hulls. The cases
+    below scan point sets that are not a shape and its image, which
+    box_grid lays out from the shape's hull alone."""
+    s, f = Box.of(start), Box.of(flipped)
+    return Grid(
+        width=s.b_hi - s.b_lo + f.b_hi - f.b_lo + 1,
+        start_rows=s.a_hi - s.a_lo + 1,
+        flipped_rows=f.a_hi - f.a_lo + 1,
+        start_a=s.a_lo,
+        start_b=s.b_lo,
+        flipped_a=f.a_hi,
+        flipped_b=f.b_hi,
+        cell_bytes=cell_bytes(min(len(start), len(flipped))),
+    )
+
+
+def decoded(start, flipped, grid):
+    """counter_scan's best and tied shifts, its keys decoded by `grid`."""
     best, keys = counter_scan(start, flipped, grid)
     return best, list(map(grid.shift, keys))
 
 
 def banded(band_pairs, start, flipped):
     with patch.object(_scan, "BAND_PAIRS", band_pairs):
-        return decoded(start, flipped)
+        return decoded(start, flipped, hull_grid(start, flipped))
 
 
 def test_ties_split_across_bands():
@@ -83,7 +99,9 @@ def test_a_default_scan_over_band_pairs():
     start = far_flung(300, 5)
     flipped = flip_points(start, FlipKind.MIRROR_HORIZONTAL)
     assert len(start) * len(flipped) > BAND_PAIRS  # 90,000 pairs: two bands
-    assert decoded(start, flipped) == tuple_counter(start, flipped)
+    grid = box_grid(Box.of(start), FlipKind.MIRROR_HORIZONTAL, len(start))
+    assert grid == hull_grid(start, flipped)
+    assert decoded(start, flipped, grid) == tuple_counter(start, flipped)
 
 
 def symmetric_far_flung(half, seed):
@@ -103,7 +121,7 @@ def test_the_counter_holds_one_band_at_a_time():
     start = symmetric_far_flung(300, 11)
     flipped = flip_points(start, FlipKind.ROTATE_180)
     assert len(start) ** 2 > 5 * BAND_PAIRS
-    grid = grid_of(start, flipped)
+    grid = box_grid(Box.of(start), FlipKind.ROTATE_180, len(start))
     tracemalloc.start()
     try:
         best, keys = counter_scan(start, flipped, grid)

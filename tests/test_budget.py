@@ -23,11 +23,11 @@ from coinflip._scan import (
     counter_bytes,
     counter_scan,
     estimate_ns,
-    grid_of,
     prefers_product,
     scan_pairs,
 )
 from coinflip.lattice import Box, FlipKind, flip_points
+from coinflip.oracle import solve
 from coinflip.shapes import FAMILIES, build, hexagon, rhombus, triangle_up
 
 
@@ -38,22 +38,36 @@ def triangle_grid(n):
     return Grid(2 * n - 1, n, n, 0, 0, 0, 0, cell_bytes=cell_bytes), coins**2
 
 
-def test_triangle_grid_matches_grid_of():
+def test_triangle_grid_matches_box_grid():
     for n in (1, 4, 23, 40):
         start = triangle_up(n)
         grid, pairs = triangle_grid(n)
-        assert grid_of(list(start), flip_points(start, FlipKind.ROTATE_180)) == grid
+        assert box_grid(Box.of(start), FlipKind.ROTATE_180, len(start)) == grid
         assert pairs == len(start) ** 2
-    # the CLI's pre-build check reads every family's grid off its box
+    # the CLI's pre-build check reads every family's box and coin count
     for name, family in FAMILIES.items():
         for n in range(1, 41):
             coins = build(name, n)
-            box = family.box(n)
-            assert Box.of(coins) == box
+            assert Box.of(coins) == family.box(n)
             assert family.coin_count(n) == len(coins)
+
+
+def test_solve_scans_the_grid_the_cli_checks():
+    for name, family in FAMILIES.items():
+        for n in range(1, 13):
+            coins = build(name, n)
             for flip in FlipKind:
-                built = grid_of(list(coins), flip_points(coins, flip))
-                assert box_grid(box, box.flip(flip), len(coins)) == built
+                grid = solve(coins, flip).optimal_placements.grid
+                assert grid == box_grid(family.box(n), flip, family.coin_count(n))
+
+
+def test_solve_takes_one_hull_per_call():
+    # the image's hull is the flipped hull of the coins, not measured again
+    for shape in (triangle_up(5), frozenset({(0, 0), (1, 0), (2**40, -3)})):
+        for flip in FlipKind:
+            with patch.object(Box, "of", wraps=Box.of) as hull:
+                solve(shape, flip)
+            assert hull.call_count == 1
 
 
 def test_dense_fall_off_starts_at_1025_rows():
@@ -78,9 +92,8 @@ def test_large_sparse_shapes_are_over_budget():
 def test_tested_and_benchmarked_inputs_are_far_below_the_budget():
     # the largest shapes that tier-1 and the benchmark scan
     for shape in (triangle_up(40), rhombus(40), hexagon(7)):
-        start = list(shape)
-        grid = grid_of(start, flip_points(start, FlipKind.ROTATE_180))
-        assert estimate_ns(grid, len(start) ** 2) < MAX_SCAN_NS / 10_000
+        grid = box_grid(Box.of(shape), FlipKind.ROTATE_180, len(shape))
+        assert estimate_ns(grid, len(shape) ** 2) < MAX_SCAN_NS / 10_000
     far = Grid(2**41, 2**41, 2**41, 0, 0, 0, 0, cell_bytes=2)
     assert estimate_ns(far, 600**2) < MAX_SCAN_NS / 1000  # sparse_custom's 2^40 shape
 
@@ -95,13 +108,14 @@ def refuse_to_scan(monkeypatch):
 
 def test_scan_pairs_refuses_before_either_kernel_runs(monkeypatch):
     start = [(a, 0) for a in range(10)]
-    flipped = [(-a, 0) for a in range(10)]
-    assert scan_pairs(start, flipped)[0] == 10
-    cost = estimate_ns(grid_of(start, flipped), 100)
+    flipped = flip_points(start, FlipKind.ROTATE_180)
+    grid = box_grid(Box.of(start), FlipKind.ROTATE_180, len(start))
+    assert scan_pairs(start, flipped, grid)[0] == 10
+    cost = estimate_ns(grid, 100)
     monkeypatch.setattr(_scan, "MAX_SCAN_NS", cost / 2)
     refuse_to_scan(monkeypatch)
     with pytest.raises(ScanBudgetError) as exc:
-        scan_pairs(start, flipped)
+        scan_pairs(start, flipped, grid)
     assert isinstance(exc.value, ValueError)
     assert exc.value.estimate_ns == cost
     assert exc.value.pairs == 100
@@ -143,9 +157,8 @@ def test_the_memory_cap_refuses_nothing_the_product_accepts():
 
 def test_tested_and_benchmarked_scans_are_far_below_the_memory_cap():
     for shape in (triangle_up(40), rhombus(40), hexagon(7)):
-        start = list(shape)
-        grid = grid_of(start, flip_points(start, FlipKind.ROTATE_180))
-        assert 40 * counter_bytes(grid, len(start) ** 2) < MAX_SCAN_BYTES
+        grid = box_grid(Box.of(shape), FlipKind.ROTATE_180, len(shape))
+        assert 40 * counter_bytes(grid, len(shape) ** 2) < MAX_SCAN_BYTES
     # sparse_custom's 600 coins within 2^40 and 250 coins within 2^13
     far = Grid(2**41, 2**41, 2**41, 0, 0, 0, 0, cell_bytes=2)
     assert 40 * counter_bytes(far, 600**2) < MAX_SCAN_BYTES
@@ -159,7 +172,7 @@ def test_the_estimate_bounds_a_one_band_scan():
     start = sorted({(rng.randrange(1 << 40), rng.randrange(1 << 40)) for _ in range(300)})
     flipped = flip_points(start, FlipKind.MIRROR_HORIZONTAL)
     pairs = len(start) * len(flipped)
-    grid = grid_of(start, flipped)
+    grid = box_grid(Box.of(start), FlipKind.MIRROR_HORIZONTAL, len(start))
     with patch.object(_scan, "BAND_PAIRS", pairs):
         tracemalloc.start()
         try:
@@ -174,21 +187,21 @@ def test_the_estimate_bounds_a_one_band_scan():
 
 def test_scan_pairs_refuses_the_counter_before_it_runs(monkeypatch):
     start = [(a << 30, 0) for a in range(10)]
-    flipped = [(-a << 30, 0) for a in range(10)]
-    grid = grid_of(start, flipped)
+    flipped = flip_points(start, FlipKind.ROTATE_180)
+    grid = box_grid(Box.of(start), FlipKind.ROTATE_180, len(start))
     assert not prefers_product(grid, 100)
-    assert scan_pairs(start, flipped)[0] == 10
+    assert scan_pairs(start, flipped, grid)[0] == 10
     memory = counter_bytes(grid, 100)
     monkeypatch.setattr(_scan, "MAX_SCAN_BYTES", memory - 1)
     refuse_to_scan(monkeypatch)
     with pytest.raises(ScanBudgetError) as exc:
-        scan_pairs(start, flipped)
+        scan_pairs(start, flipped, grid)
     assert exc.value.estimate_bytes == memory
     assert exc.value.estimate_ns == estimate_ns(grid, 100)
     assert exc.value.pairs == 100
     monkeypatch.setattr(_scan, "MAX_SCAN_BYTES", memory)
     monkeypatch.setattr(_scan, "counter_scan", lambda *args: ("best", "keys"))
-    assert scan_pairs(start, flipped) == ("best", "keys", grid)
+    assert scan_pairs(start, flipped, grid) == ("best", "keys")
 
 
 def test_cli_refuses_a_scan_over_the_memory_cap(capsys, monkeypatch, tmp_path):
@@ -208,13 +221,20 @@ def test_cli_refuses_a_scan_over_the_memory_cap(capsys, monkeypatch, tmp_path):
     )
 
 
-def test_analyze_refuses_an_over_budget_file_before_any_output(capsys, monkeypatch, tmp_path):
-    # 5000 coins scattered over ±2^40: 2.5e7 pairs, within the time budget,
-    # but about 3 GiB of Counter keys under the half-turn, the first flip
+def write_scatter(path, last_line=""):
+    """5000 coins scattered over ±2^40, one a line, then `last_line`:
+    2.5e7 pairs, within the time budget, but about 3 GiB of Counter keys
+    under the half-turn, the first flip."""
     rng = random.Random(40)
     coins = {(rng.randint(-(2**40), 2**40), rng.randint(-(2**40), 2**40)) for _ in range(5000)}
+    assert len(coins) == 5000
+    path.write_text("".join(f"{a} {b}\n" for a, b in coins) + last_line)
+    return coins
+
+
+def test_analyze_refuses_an_over_budget_file_before_any_output(capsys, monkeypatch, tmp_path):
     path = tmp_path / "scatter.txt"
-    path.write_text("".join(f"{a} {b}\n" for a, b in coins))
+    coins = write_scatter(path)
     refuse_to_scan(monkeypatch)
 
     def components(coins):
@@ -222,11 +242,27 @@ def test_analyze_refuses_an_over_budget_file_before_any_output(capsys, monkeypat
 
     monkeypatch.setattr(cli, "connected_components", components)
     with pytest.raises(ScanBudgetError) as scan:
-        scan_pairs(list(coins), flip_points(coins, FlipKind.ROTATE_180))
+        solve(coins, FlipKind.ROTATE_180)
     assert scan.value.estimate_bytes > MAX_SCAN_BYTES
+    assert "need about 3.07 GiB of memory" in str(scan.value)
     with pytest.raises(SystemExit) as exc:
         cli.main(["analyze", "--shape-file", str(path)])
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
     assert captured.err.endswith(f"coinflip: error: {scan.value}\n")
+
+
+def test_a_malformed_over_budget_file_is_refused_for_its_format(capsys, monkeypatch, tmp_path):
+    # the file is parsed whole before its box exists, so the format error wins
+    path = tmp_path / "scatter.txt"
+    write_scatter(path, "7 x\n")
+    refuse_to_scan(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--shape-file", str(path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"coinflip: error: {path}: line 5001: expected two integers `a b`, got '7 x'\n"
+    )

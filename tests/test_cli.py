@@ -342,6 +342,25 @@ def test_shape_file_blanks_are_ascii_spaces_and_tabs(capsys, tmp_path, line):
     refuses_line_2(capsys, tmp_path, f"0 0\n{line}\n")
 
 
+def test_a_crlf_shape_file_solves_like_its_lf_copy(capsys, tmp_path):
+    text = "# blob\n0 0\n1 0 \n\n0 1\n2 0\n"
+    outs = []
+    for name, ending in (("lf.txt", "\n"), ("crlf.txt", "\r\n")):
+        path = tmp_path / name
+        path.write_bytes(text.replace("\n", ending).encode())
+        assert cli.main(["solve", "--shape-file", str(path)]) == 0
+        outs.append(capsys.readouterr().out.replace(name, "shape.txt"))
+    assert outs[0] == outs[1]
+
+
+# the CLI reads a file's own line ends, so it refuses what load_custom does
+@pytest.mark.parametrize(
+    "line", ["1 2\r\r\n", "1 2\r\r\r\r", "1 2\r"], ids=["cr-crlf", "four-crs", "last-cr"]
+)
+def test_shape_file_refuses_a_stray_carriage_return(capsys, tmp_path, line):
+    refuses_line_2(capsys, tmp_path, f"0 0\n{line}")
+
+
 SHAPE_ERRORS = [
     (["solve", "triangle", "0"], "triangle size must be >= 1, got 0"),
     (["render", "rhombus", "-1"], "rhombus size must be >= 1, got -1"),

@@ -9,13 +9,13 @@ from coinflip import _scan
 from coinflip._scan import (
     MAX_GRID_BYTES,
     Grid,
+    box_grid,
     counter_scan,
-    grid_of,
     prefers_product,
     product_scan,
     scan_pairs,
 )
-from coinflip.lattice import NEIGHBOR_OFFSETS, FlipKind, flip_points
+from coinflip.lattice import NEIGHBOR_OFFSETS, Box, FlipKind, flip_points
 from coinflip.oracle import (
     MovePlan,
     Placement,
@@ -176,20 +176,20 @@ def test_oracle_matches_bounding_box_scan():
 
 
 def scan_inputs(shape, flip):
+    """The shape's sorted coins, their sorted image under `flip`, and the
+    grid that solve() scans them on."""
     start = sorted(shape)
-    return start, sorted(flip_points(start, flip))
+    return start, sorted(flip_points(start, flip)), box_grid(Box.of(start), flip, len(start))
 
 
-def assert_kernels_agree(start, flipped):
-    grid = grid_of(start, flipped)
+def assert_kernels_agree(start, flipped, grid):
     assert product_scan(start, flipped, grid) == counter_scan(start, flipped, grid)
 
 
 def test_product_and_counter_kernels_agree():
     for shape in corpus():
         for flip in FlipKind:
-            start, flipped = scan_inputs(shape, flip)
-            assert_kernels_agree(start, flipped)
+            assert_kernels_agree(*scan_inputs(shape, flip))
 
 
 @given(
@@ -200,8 +200,7 @@ def test_product_and_counter_kernels_agree():
 @settings(max_examples=80, deadline=None)
 def test_kernels_agree_on_shifted_shapes(points, offset, flip):
     # a flipped shape is as good a shape; this one sits near the offset
-    start, flipped = scan_inputs(target_set(points, Placement(flip, offset)), flip)
-    assert_kernels_agree(start, flipped)
+    assert_kernels_agree(*scan_inputs(target_set(points, Placement(flip, offset)), flip))
 
 
 def line(n):
@@ -219,9 +218,9 @@ def line(n):
 )
 def test_kernels_agree_at_the_cell_width_boundary(shape, cell_bytes):
     for flip in FlipKind:
-        start, flipped = scan_inputs(shape, flip)
-        assert grid_of(start, flipped).cell_bytes == cell_bytes
-        assert_kernels_agree(start, flipped)
+        start, flipped, grid = scan_inputs(shape, flip)
+        assert grid.cell_bytes == cell_bytes
+        assert_kernels_agree(start, flipped, grid)
 
 
 def scatter(coins, side, seed):
@@ -241,8 +240,8 @@ def scatter(coins, side, seed):
     ],
 )
 def test_sparse_shapes_stay_on_the_counter(shape):
-    start, flipped = scan_inputs(shape, FlipKind.ROTATE_180)
-    assert not prefers_product(grid_of(start, flipped), len(start) ** 2)
+    start, _, grid = scan_inputs(shape, FlipKind.ROTATE_180)
+    assert not prefers_product(grid, len(start) ** 2)
 
 
 def test_byte_cap_bounds_the_grid():
@@ -257,8 +256,8 @@ def test_byte_cap_bounds_the_grid():
 
 def test_dense_shapes_take_the_product():
     for shape in (triangle_up(14), rhombus(40), hexagon(7), triangle_up(160)):
-        start, flipped = scan_inputs(shape, FlipKind.ROTATE_180)
-        assert prefers_product(grid_of(start, flipped), len(start) ** 2)
+        start, _, grid = scan_inputs(shape, FlipKind.ROTATE_180)
+        assert prefers_product(grid, len(start) ** 2)
 
 
 # Coordinates up to 2^40 in size, mixed with small ones so that some
@@ -296,17 +295,17 @@ def accepts(points, placement, result) -> bool:
 
 
 def check_against_a_tuple_counter(points, flip, data):
-    start, flipped = scan_inputs(points, flip)
+    start, flipped, grid = scan_inputs(points, flip)
     counts = Counter((sa - fa, sb - fb) for sa, sb in start for fa, fb in flipped)
     best = max(counts.values())
     expected = sorted(t for t, c in counts.items() if c == best)
-    grid = grid_of(start, flipped)
     overlap, keys = counter_scan(start, flipped, grid)
     assert (overlap, list(map(grid.shift, keys))) == (best, expected)
-    assert scan_pairs(start, flipped) == (best, keys, grid)
+    assert scan_pairs(start, flipped, grid) == (best, keys)
 
     result = solve(points, flip)
     placements = result.optimal_placements
+    assert placements.grid == grid
     assert all(type(k) is int for k in placements.keys)
     assert placements.keys == sorted(set(placements.keys))
     assert [p.shift for p in placements] == expected
@@ -337,7 +336,7 @@ def check_against_a_tuple_counter(points, flip, data):
 
     # both kernels agree wherever the product's grid is small enough to build
     if grid.cells * grid.cell_bytes <= 1 << 16:
-        assert_kernels_agree(start, flipped)
+        assert_kernels_agree(start, flipped, grid)
 
 
 # ------------------------------------------------------------- properties

@@ -87,6 +87,15 @@ def test_load_custom_parses_comments_and_blanks():
 
 def test_load_custom_accepts_crlf_and_negative_coords():
     assert load_custom("-2 5\r\n3 -4\r\n") == frozenset({(-2, 5), (3, -4)})
+    assert load_custom("# note\r\n\r\n1 2 \r\n") == frozenset({(1, 2)})
+
+
+@pytest.mark.parametrize(
+    "text", ["1 2\r\r\n", "1 2\r\r\r\r", "1 2\r"], ids=["cr-crlf", "four-crs", "last-cr"]
+)
+def test_load_custom_refuses_a_stray_carriage_return(text):
+    with pytest.raises(ShapeFormatError, match="^line 1: stray carriage return"):
+        load_custom(text)
 
 
 def test_load_custom_takes_ascii_spaces_and_tabs_as_blanks():
