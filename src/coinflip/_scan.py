@@ -11,11 +11,15 @@ of distinct points and their `Grid`, as `scan_pairs` passes them:
 - `counter_scan`, the reference kernel: Counters over the differences of
   all |S|·|F| pairs, one ascending band of shift keys at a time, so that
   it holds one band's counts plus the tied keys found so far. Its cost
-  follows the pair count alone.
+  follows the pair count alone. When the image is a translate of the
+  shape's point reflection, as under rot180 always, the start and
+  flipped keys are equal, and it counts each of the |S|(|S| - 1)/2
+  unordered pairs once.
 - `product_scan`: Kronecker substitution. Each point set becomes a 0/1
   grid packed into the digits of one big integer, and a single CPython
   multiplication yields the exact overlap at every shift of the
-  bounding-box correlation grid. Its cost follows the grid size.
+  bounding-box correlation grid; equal grids, as under rot180, are
+  squared. Its cost follows the grid size.
 
 Both kernels name a shift (da, db) by one integer key, laid out as `Grid`
 describes: key = (da - a0)·H + (db - b0), where a0 = min_a(S) - max_a(F),
@@ -24,9 +28,10 @@ b0 = min_b(S) - max_b(F) and H = span_b(S) + span_b(F) + 1. Since
 has key (a - min_a S)·H + (b - min_b S), a flipped point
 (max_a F - a)·H + (max_b F - b), and a pair's key is the sum of the two.
 The product kernel's grid is this layout itself, one row of H cells per
-a, so a cell's index is its key. Both kernels return the tied keys,
-sorted; the layout stays in this module, and callers decode a key with
-`Grid.shift`.
+a, so a cell's index is its key. Both kernels return each tied key
+once, in any order, so that a caller that reads only the count or the
+least key sorts nothing; the layout stays in this module, and callers
+decode a key with `Grid.shift`.
 
 `scan_pairs` runs the kernel that `kernel_for` picks from the grid and
 the pair count: the cheaper one by the cost model (`prefers_product`).
@@ -46,6 +51,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
+from itertools import compress
 from typing import NamedTuple
 
 from coinflip.lattice import Box, FlipKind
@@ -198,9 +204,20 @@ def counter_scan(start, flipped, grid: Grid):
     order; a scan of at most BAND_PAIRS pairs is one band. In a band, each
     flipped key kf pairs with the start keys from lo - kf up to hi - kf, a
     slice of ks found by bisection, and the band's pairs are counted in a
-    Counter of its own. A running best keeps the tied keys: a band's ties,
-    sorted, are appended when they equal the best and replace the list
-    when they beat it, so the keys come out ascending.
+    Counter of its own. A running best keeps the tied keys: a band's ties
+    are appended when they equal the best and replace the list when they
+    beat it. Each tied key comes out once, in no particular order.
+
+    When ks == kfs, pairs (i, j) and (j, i) share a key. That is so when
+    the image is a translate of the shape's point reflection: under
+    rot180 always, and under one mirror when the shape is symmetric under
+    the other (the up triangle under mirror-v). Then only the pairs i < j
+    are counted: a key's overlap is twice its count, plus 1 when it is a
+    diagonal key 2·ks[i]. An odd top can only come from a diagonal key,
+    and a band's diagonal keys are 2·x for the x in ks within
+    [ceil(lo / 2), ceil(hi / 2)), found by bisection. The bands stay those
+    of the full count, so that a band holds no more distinct keys than it
+    would there: each band counts about half as many pairs.
 
     Memory is one band's distinct keys plus the ties, where a Counter of
     every pair would hold all the distinct keys at once. Bands split key
@@ -210,6 +227,7 @@ def counter_scan(start, flipped, grid: Grid):
     width = grid.width
     ks = sorted((a - grid.start_a) * width + b - grid.start_b for a, b in start)
     kfs = sorted((grid.flipped_a - a) * width + grid.flipped_b - b for a, b in flipped)
+    half = ks == kfs
     first, end = ks[0] + kfs[0], ks[-1] + kfs[-1] + 1
     bands = -(-len(ks) * len(kfs) // BAND_PAIRS)
     step = -(-(end - first) // bands)
@@ -217,23 +235,41 @@ def counter_scan(start, flipped, grid: Grid):
     for lo in range(first, end, step):
         hi = lo + step
         counts = Counter()
-        for kf in kfs:
-            # one band takes every row whole: no bisects, no copies
-            row = ks if bands == 1 else ks[bisect_left(ks, lo - kf) : bisect_left(ks, hi - kf)]
-            counts.update(map(kf.__add__, row))
-        if not counts:
-            continue
-        top = max(counts.values())
-        if top >= best:
-            # Ascending rows enter new keys in ascending runs, which this
-            # sort merges instead of sorting from scratch.
-            ties = [k for k, c in counts.items() if c == top]
-            ties.sort()
-            if top > best:
-                best, keys = top, ties
-            else:
-                keys += ties
+        if half:
+            for i, k in enumerate(ks, 1):  # k pairs with the keys after it
+                row = ks[bisect_left(ks, lo - k, i) : bisect_left(ks, hi - k, i)]
+                counts.update(map(k.__add__, row))
+            centres = ks[bisect_left(ks, -(-lo // 2)) : bisect_left(ks, -(-hi // 2))]
+            top, ties = _half_ties(counts, centres)
+        else:
+            for kf in kfs:
+                # one band takes every row whole: no bisects, no copies
+                row = ks if bands == 1 else ks[bisect_left(ks, lo - kf) : bisect_left(ks, hi - kf)]
+                counts.update(map(kf.__add__, row))
+            top = max(counts.values(), default=0)
+            ties = _ties(counts, top)
+        if top > best:
+            best, keys = top, ties
+        elif top == best:
+            keys += ties
     return best, keys
+
+
+def _ties(counts: Counter, top: int) -> list[int]:
+    """The keys that `counts` holds `top` times, in the Counter's order."""
+    return list(compress(counts, map(top.__eq__, counts.values())))
+
+
+def _half_ties(counts: Counter, centres: list[int]) -> tuple[int, list[int]]:
+    """A band's top overlap and its keys, from the counts of its pairs
+    i < j and the x of its diagonal keys 2·x."""
+    if not counts:
+        return (1, [2 * x for x in centres]) if centres else (0, [])
+    top = max(counts.values())
+    odd = [2 * x for x in centres if counts[2 * x] == top]
+    if odd:
+        return 2 * top + 1, odd
+    return 2 * top, _ties(counts, top)
 
 
 def product_scan(start, flipped, grid: Grid):
@@ -243,7 +279,9 @@ def product_scan(start, flipped, grid: Grid):
     flipped coins, reversed, to (max_a - a)·width + (max_b - b) of another.
     Multiplying the two integers adds those offsets, so each cell of the
     product counts the pairs of one shift key, and the tied cells are found
-    in ascending key order.
+    in ascending key order. Under rot180 the two grids are equal, and the
+    product is a square, which CPython computes faster than a product of
+    two different integers.
     """
     nb, width = grid.cell_bytes, grid.width
     s = bytearray(nb * width * grid.start_rows)
@@ -252,7 +290,8 @@ def product_scan(start, flipped, grid: Grid):
     f = bytearray(nb * width * grid.flipped_rows)
     for a, b in flipped:
         f[nb * ((grid.flipped_a - a) * width + grid.flipped_b - b)] = 1
-    product = int.from_bytes(s, "little") * int.from_bytes(f, "little")
+    x = int.from_bytes(s, "little")
+    product = x * x if s == f else x * int.from_bytes(f, "little")
     counts = array(_TYPECODES[nb], product.to_bytes(nb * grid.cells, "little"))
     if sys.byteorder == "big":
         counts.byteswap()
@@ -292,9 +331,10 @@ def scan_pairs(start, flipped, grid: Grid):
     """Best overlap over all translations of `flipped` onto `start`.
 
     Both point arguments are nonempty collections of distinct (a, b)
-    pairs, laid out as `grid` (`box_grid`). Returns (max_overlap, keys),
-    the sorted tied keys that `grid.shift` decodes. `kernel_for` picks the
-    kernel, or refuses the scan before either allocates (ScanBudgetError).
+    pairs, laid out as `grid` (`box_grid`). Returns (max_overlap, keys):
+    each tied key once, in any order, for `grid.shift` to decode.
+    `kernel_for` picks the kernel, or refuses the scan before either
+    allocates (ScanBudgetError).
     """
     if not start or not flipped:
         raise ValueError("scan_pairs requires nonempty point lists")

@@ -169,6 +169,9 @@ def classify_triangle(component) -> Optional[tuple[str, int]]:
     both; it reports as ("up", 1).
     """
     coins = as_coin_set(component)
+    if len(coins) == 1:
+        ((a, b),) = coins  # a coin that is not a pair still raises
+        return ("up", 1)
     if not coins:
         raise ValueError("cannot classify an empty component")
     k = triangle_number_index(len(coins))

@@ -14,9 +14,12 @@ bounding boxes picks between them per call.
 
 Both kernels name each shift by one integer key, and ascending keys are
 ascending (da, db). A far-flung shape can tie hundreds of thousands of
-shifts, so solve() keeps the sorted keys with the scan's `_scan.Grid`,
-and `Placements` decodes a placement through that grid (`Grid.shift`)
-only when it is read. The key layout stays in `_scan`.
+shifts, so solve() keeps the keys, in the order the scan found them,
+with the scan's `_scan.Grid`. `Placements` decodes a placement through
+that grid (`Grid.shift`) only when it is read, and sorts the keys only
+when a read needs their order: the count and the first placement, all
+that `analyze` and `solve` read, need none. The key layout stays in
+`_scan`.
 
 Both kernels are exact, so a placement under the solved flip is optimal
 exactly when it moves min_moves coins; protrusions() and move_plan()
@@ -65,25 +68,44 @@ class Placement(NamedTuple):
 
 class Placements(Sequence):
     """Read-only sequence of the optimal placements of one flip, ascending
-    by shift. It holds the scan's sorted tie keys, and each Placement is
-    decoded through `grid` when it is read; a slice is another Placements
-    (descending under a negative step), and `in` scans. Compares equal to a
-    tuple of the same placements, and hashes like one. It can be weakly
-    referenced, so that a caller can check that the tie keys it holds have
-    been freed."""
+    by shift. It holds the scan's tie keys, in any order, and each
+    Placement is decoded through `grid` when it is read.
 
-    __slots__ = ("flip", "keys", "grid", "__weakref__")
+    `len` and `[0]` (the least key) leave the keys as they are; every
+    other read (`keys`, any other index, iteration, `in`, slicing, ==,
+    hash and repr) first sorts them in place, once. A slice is another
+    Placements that keeps its own order (descending under a negative
+    step). Compares equal to a tuple of the same placements, and hashes
+    like one. It can be weakly referenced, so that a caller can check
+    that the tie keys it holds have been freed."""
+
+    __slots__ = ("flip", "grid", "_keys", "_ordered", "__weakref__")
 
     def __init__(self, flip: FlipKind, keys: list[int], grid: _scan.Grid):
-        self.flip, self.keys, self.grid = flip, keys, grid
+        self.flip, self.grid = flip, grid
+        self._keys, self._ordered = keys, False
+
+    @property
+    def keys(self) -> list[int]:
+        """The tie keys, in the order the placements are read."""
+        if not self._ordered:
+            self._keys.sort()
+            self._ordered = True
+        return self._keys
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self._keys)
 
     def __getitem__(self, i) -> Placement | Placements:
         if isinstance(i, slice):
-            return Placements(self.flip, self.keys[i], self.grid)
-        return Placement(self.flip, self.grid.shift(self.keys[i]))
+            part = Placements(self.flip, self.keys[i], self.grid)
+            part._ordered = True
+            return part
+        if i == 0 and not self._ordered and self._keys:
+            key = min(self._keys)
+        else:
+            key = self.keys[i]
+        return Placement(self.flip, self.grid.shift(key))
 
     def __iter__(self):
         flip = self.flip

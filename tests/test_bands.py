@@ -4,6 +4,11 @@ counter_scan cuts the range of pair keys into ceil(pairs / BAND_PAIRS)
 equal bands and counts one band at a time. The fixed cases below patch
 BAND_PAIRS so that a few pairs already span several bands; the hypothesis
 test in test_oracle.py does the same on random far-flung shapes.
+
+When a shape's image is a translate of its point reflection, as under
+rot180 always, the start and flipped keys are equal and counter_scan
+counts each pair of coins once; the tests after the fixed cases check
+that half count.
 """
 
 import random
@@ -12,9 +17,13 @@ import weakref
 from collections import Counter
 from unittest.mock import patch
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from coinflip import _scan, cli
 from coinflip._scan import BAND_PAIRS, Grid, box_grid, cell_bytes, counter_scan
 from coinflip.lattice import Box, FlipKind, flip_points
+from coinflip.shapes import triangle_up
 
 
 def line(*bs):
@@ -46,9 +55,11 @@ def hull_grid(start, flipped):
 
 
 def decoded(start, flipped, grid):
-    """counter_scan's best and tied shifts, its keys decoded by `grid`."""
+    """counter_scan's best and tied shifts, its keys decoded by `grid` in
+    ascending order; each tied key comes out once."""
     best, keys = counter_scan(start, flipped, grid)
-    return best, list(map(grid.shift, keys))
+    assert len(set(keys)) == len(keys)
+    return best, list(map(grid.shift, sorted(keys)))
 
 
 def banded(band_pairs, start, flipped):
@@ -114,10 +125,11 @@ def symmetric_far_flung(half, seed):
 
 
 def test_the_counter_holds_one_band_at_a_time():
-    # 600 coins, 360,000 pairs, 6 bands. The pairs meet in about 180,000
+    # 600 coins, 360,000 pairs, 6 bands; the half-turn counts 179,700 of
+    # them, each unordered pair once. The pairs meet in about 180,000
     # distinct keys and tie only at the symmetry's own shift. A Counter of
     # all pairs peaks at 21.7 MiB here (the one-band kernel, measured), the
-    # banded scan at 7.5 MiB.
+    # banded scan at 7.3 MiB.
     start = symmetric_far_flung(300, 11)
     flipped = flip_points(start, FlipKind.ROTATE_180)
     assert len(start) ** 2 > 5 * BAND_PAIRS
@@ -130,6 +142,90 @@ def test_the_counter_holds_one_band_at_a_time():
         tracemalloc.stop()
     assert best == len(start) and len(keys) == 1
     assert peak < 12 << 20
+
+
+class CountingCounter(Counter):
+    """A Counter that adds up how many pairs every instance counts."""
+
+    pairs = 0
+
+    def update(self, iterable=None, /, **kwds):
+        items = list(iterable or ())
+        CountingCounter.pairs += len(items)
+        super().update(items, **kwds)
+
+
+def counted(band_pairs, start, flipped):
+    """banded()'s answer, and how many pairs counter_scan counted for it."""
+    CountingCounter.pairs = 0
+    with patch.object(_scan, "Counter", CountingCounter):
+        answer = banded(band_pairs, start, flipped)
+    return answer, CountingCounter.pairs
+
+
+OTHER_MIRROR = {
+    FlipKind.MIRROR_HORIZONTAL: FlipKind.MIRROR_VERTICAL,
+    FlipKind.MIRROR_VERTICAL: FlipKind.MIRROR_HORIZONTAL,
+}
+
+far_coords = st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40))
+far_points = st.frozensets(st.tuples(far_coords, far_coords), min_size=1, max_size=12)
+
+
+def point_symmetric(points, flip):
+    """A shape that `flip` maps onto a translate of its point reflection,
+    so that counter_scan counts each pair once: under rot180 the points
+    themselves; under a mirror, the points and their image under the
+    other mirror, which is `flip` followed by a half-turn."""
+    if flip == FlipKind.ROTATE_180:
+        return sorted(points)
+    return sorted({*points, *flip_points(points, OTHER_MIRROR[flip])})
+
+
+@given(far_points, st.sampled_from(list(FlipKind)), st.integers(1, 64))
+@settings(max_examples=200, deadline=None)
+def test_the_half_count_matches_a_tuple_counter(points, flip, band_pairs):
+    start = point_symmetric(points, flip)
+    flipped = flip_points(start, flip)
+    n = len(start)
+    answer, pairs = counted(band_pairs, start, flipped)
+    assert pairs == n * (n - 1) // 2
+    assert answer == tuple_counter(start, flipped)
+
+
+# one and two coins, and odd and even tops under the half-turn and a mirror
+@pytest.mark.parametrize(
+    "start, flip, best",
+    [
+        ([(5, -7)], FlipKind.ROTATE_180, 1),
+        ([(0, 0), (3, 2**40)], FlipKind.ROTATE_180, 2),
+        (line(0, 1, 2), FlipKind.ROTATE_180, 3),
+        (line(0, 1, 5, 6), FlipKind.ROTATE_180, 4),
+        (sorted(triangle_up(3)), FlipKind.MIRROR_VERTICAL, 4),
+        (sorted(triangle_up(4)), FlipKind.MIRROR_VERTICAL, 7),
+    ],
+    ids=["one-coin", "two-coins", "odd-line", "even-line", "even-triangle", "odd-triangle"],
+)
+@pytest.mark.parametrize("band_pairs", [1, 2, 64])
+def test_odd_and_even_half_count_tops(start, flip, best, band_pairs):
+    flipped = flip_points(start, flip)
+    answer, pairs = counted(band_pairs, start, flipped)
+    assert pairs == len(start) * (len(start) - 1) // 2
+    assert answer == tuple_counter(start, flipped)
+    assert answer[0] == best
+
+
+def test_a_half_turn_counts_each_pair_once_and_a_mirror_every_pair():
+    start = far_flung(300, 5)
+    for flip, pairs in [
+        (FlipKind.ROTATE_180, 300 * 299 // 2),
+        (FlipKind.MIRROR_HORIZONTAL, 300 * 300),
+        (FlipKind.MIRROR_VERTICAL, 300 * 300),
+    ]:
+        flipped = flip_points(start, flip)
+        answer, counted_pairs = counted(BAND_PAIRS, start, flipped)
+        assert counted_pairs == pairs
+        assert answer == tuple_counter(start, flipped)
 
 
 def test_analyze_frees_each_flip_before_the_next_solve(capsys, monkeypatch, tmp_path):

@@ -19,6 +19,7 @@ from coinflip.lattice import NEIGHBOR_OFFSETS, Box, FlipKind, flip_points
 from coinflip.oracle import (
     MovePlan,
     Placement,
+    Placements,
     backend,
     move_plan,
     protrusions,
@@ -182,8 +183,17 @@ def scan_inputs(shape, flip):
     return start, sorted(flip_points(start, flip)), box_grid(Box.of(start), flip, len(start))
 
 
+def in_order(scan):
+    """A kernel's (best, keys) with its keys sorted, after checking that
+    each tied key comes out once."""
+    best, keys = scan
+    assert len(set(keys)) == len(keys)
+    return best, sorted(keys)
+
+
 def assert_kernels_agree(start, flipped, grid):
-    assert product_scan(start, flipped, grid) == counter_scan(start, flipped, grid)
+    product = in_order(product_scan(start, flipped, grid))
+    assert product == in_order(counter_scan(start, flipped, grid))
 
 
 def test_product_and_counter_kernels_agree():
@@ -299,9 +309,9 @@ def check_against_a_tuple_counter(points, flip, data):
     counts = Counter((sa - fa, sb - fb) for sa, sb in start for fa, fb in flipped)
     best = max(counts.values())
     expected = sorted(t for t, c in counts.items() if c == best)
-    overlap, keys = counter_scan(start, flipped, grid)
+    overlap, keys = in_order(counter_scan(start, flipped, grid))
     assert (overlap, list(map(grid.shift, keys))) == (best, expected)
-    assert scan_pairs(start, flipped, grid) == (best, keys)
+    assert in_order(scan_pairs(start, flipped, grid)) == (best, keys)
 
     result = solve(points, flip)
     placements = result.optimal_placements
@@ -507,6 +517,61 @@ def test_results_compare_and_hash_by_value():
     assert a.optimal_placements == placements
     assert hash(a.optimal_placements) == hash(placements)
     assert a != solve(triangle_up(5), FlipKind.MIRROR_VERTICAL)
+
+
+UNSORTED_KEYS = [30, 4, 17, 0, 52, 9, 41]
+KEY_GRID = Grid(
+    width=7, start_rows=5, flipped_rows=5,
+    start_a=0, start_b=0, flipped_a=0, flipped_b=0, cell_bytes=1,
+)
+
+
+def unsorted_placements():
+    """Placements over keys in no order, as counter_scan returns them, and
+    the list it holds."""
+    keys = list(UNSORTED_KEYS)
+    return Placements(FlipKind.MIRROR_VERTICAL, keys, KEY_GRID), keys
+
+
+ASCENDING = tuple(
+    Placement(FlipKind.MIRROR_VERTICAL, KEY_GRID.shift(k)) for k in sorted(UNSORTED_KEYS)
+)
+
+
+def test_len_and_the_first_placement_leave_the_keys_unsorted():
+    placements, keys = unsorted_placements()
+    assert len(placements) == len(UNSORTED_KEYS)
+    assert placements[0] == ASCENDING[0]
+    assert keys == UNSORTED_KEYS
+
+
+@pytest.mark.parametrize(
+    "read, expected",
+    [
+        (lambda p: list(map(KEY_GRID.shift, p.keys)), [q.shift for q in ASCENDING]),
+        (lambda p: p[1], ASCENDING[1]),
+        (lambda p: p[-1], ASCENDING[-1]),
+        (lambda p: tuple(p), ASCENDING),
+        (lambda p: ASCENDING[3] in p, True),
+        (lambda p: tuple(p[2:5]), ASCENDING[2:5]),
+        (lambda p: tuple(p[::-1]), ASCENDING[::-1]),
+        (lambda p: tuple(p[5:1:-2]), ASCENDING[5:1:-2]),
+        (lambda p: p[::-1][0], ASCENDING[-1]),
+        (lambda p: p == ASCENDING, True),
+        (lambda p: hash(p) == hash(ASCENDING), True),
+        (lambda p: repr(p), f"Placements({FlipKind.MIRROR_VERTICAL}, {[q.shift for q in ASCENDING]!r})"),
+    ],
+    ids=[
+        "keys", "index", "last", "iter", "in", "slice", "reversed", "step", "reversed-first",
+        "eq", "hash", "repr",
+    ],
+)
+def test_every_other_read_sorts_the_keys_once(read, expected):
+    placements, keys = unsorted_placements()
+    assert read(placements) == expected
+    assert keys == sorted(UNSORTED_KEYS)
+    assert placements.keys is keys
+    assert read(placements) == expected
 
 
 def test_protrusions_reject_too_many_parts():
