@@ -57,7 +57,10 @@ from typing import NamedTuple
 from coinflip.lattice import Box, FlipKind
 
 # Cost model, in nanoseconds, measured on CPython 3.11 on a 2-core x86
-# VM. The Counter spends about 400 ns per pair. The product kernel spends
+# VM. The Counter spends about 400 ns per pair, charged for all |S|·|F|
+# pairs. A half count (rot180) counts only |S|(|S| - 1)/2 of them, so its
+# estimate is conservative by about 2x, on purpose: the kernel choice and
+# every refusal stay those of the full count. The product kernel spends
 # about 200 ns per grid cell to fill and read the grid, plus the
 # multiplication: CPython multiplies big integers by Karatsuba, about
 # 0.3 ns x (grid bytes) ** log2(3) on grids this sparse.
@@ -204,20 +207,27 @@ def counter_scan(start, flipped, grid: Grid):
     order; a scan of at most BAND_PAIRS pairs is one band. In a band, each
     flipped key kf pairs with the start keys from lo - kf up to hi - kf, a
     slice of ks found by bisection, and the band's pairs are counted in a
-    Counter of its own. A running best keeps the tied keys: a band's ties
-    are appended when they equal the best and replace the list when they
-    beat it. Each tied key comes out once, in no particular order.
+    Counter of its own.
 
     When ks == kfs, pairs (i, j) and (j, i) share a key. That is so when
     the image is a translate of the shape's point reflection: under
     rot180 always, and under one mirror when the shape is symmetric under
-    the other (the up triangle under mirror-v). Then only the pairs i < j
-    are counted: a key's overlap is twice its count, plus 1 when it is a
-    diagonal key 2·ks[i]. An odd top can only come from a diagonal key,
-    and a band's diagonal keys are 2·x for the x in ks within
-    [ceil(lo / 2), ceil(hi / 2)), found by bisection. The bands stay those
-    of the full count, so that a band holds no more distinct keys than it
-    would there: each band counts about half as many pairs.
+    the other (the up triangle under mirror-v). Then each row starts
+    after kf's own index in ks, so that only the pairs i < j are counted:
+    a key's overlap is twice its count, plus 1 when it is a diagonal key
+    2·ks[i]. A band's diagonal keys are 2·x for the centres x in ks within
+    [ceil(lo / 2), ceil(hi / 2)), found by bisection; a full count has no
+    centres. The bands stay those of the full count, so that a band holds
+    no more distinct keys than it would there: each band counts about
+    half as many pairs.
+
+    One tie rule serves both counts. With top the band's greatest count
+    (0 for an empty band), the band's best is 2·top + 1, tied by the
+    diagonal keys counted top times, when there are any; otherwise it is
+    top, or 2·top for a half count, tied by the keys counted top times.
+    A running best keeps the tied keys: a band's ties are appended when
+    they equal the best and replace the list when they beat it. Each
+    tied key comes out once, in no particular order.
 
     Memory is one band's distinct keys plus the ties, where a Counter of
     every pair would hold all the distinct keys at once. Bands split key
@@ -235,41 +245,23 @@ def counter_scan(start, flipped, grid: Grid):
     for lo in range(first, end, step):
         hi = lo + step
         counts = Counter()
-        if half:
-            for i, k in enumerate(ks, 1):  # k pairs with the keys after it
-                row = ks[bisect_left(ks, lo - k, i) : bisect_left(ks, hi - k, i)]
-                counts.update(map(k.__add__, row))
-            centres = ks[bisect_left(ks, -(-lo // 2)) : bisect_left(ks, -(-hi // 2))]
-            top, ties = _half_ties(counts, centres)
+        for i, kf in enumerate(kfs, 1):
+            j = i if half else 0  # a half count pairs kf with the keys after it
+            # one band takes every row whole: no bisects
+            row = ks[j:] if bands == 1 else ks[bisect_left(ks, lo - kf, j) : bisect_left(ks, hi - kf, j)]
+            counts.update(map(kf.__add__, row))
+        centres = ks[bisect_left(ks, -(-lo // 2)) : bisect_left(ks, -(-hi // 2))] if half else []
+        top = max(counts.values(), default=0)
+        odd = [2 * x for x in centres if counts[2 * x] == top]
+        if odd:
+            top, ties = 2 * top + 1, odd
         else:
-            for kf in kfs:
-                # one band takes every row whole: no bisects, no copies
-                row = ks if bands == 1 else ks[bisect_left(ks, lo - kf) : bisect_left(ks, hi - kf)]
-                counts.update(map(kf.__add__, row))
-            top = max(counts.values(), default=0)
-            ties = _ties(counts, top)
+            top, ties = (1 + half) * top, list(compress(counts, map(top.__eq__, counts.values())))
         if top > best:
             best, keys = top, ties
         elif top == best:
             keys += ties
     return best, keys
-
-
-def _ties(counts: Counter, top: int) -> list[int]:
-    """The keys that `counts` holds `top` times, in the Counter's order."""
-    return list(compress(counts, map(top.__eq__, counts.values())))
-
-
-def _half_ties(counts: Counter, centres: list[int]) -> tuple[int, list[int]]:
-    """A band's top overlap and its keys, from the counts of its pairs
-    i < j and the x of its diagonal keys 2·x."""
-    if not counts:
-        return (1, [2 * x for x in centres]) if centres else (0, [])
-    top = max(counts.values())
-    odd = [2 * x for x in centres if counts[2 * x] == top]
-    if odd:
-        return 2 * top + 1, odd
-    return 2 * top, _ties(counts, top)
 
 
 def product_scan(start, flipped, grid: Grid):

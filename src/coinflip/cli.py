@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 from coinflip import formulas, oracle, shapes
 from coinflip._scan import ScanBudgetError, box_grid, kernel_for
-from coinflip.lattice import Box, FlipKind, classify_triangle, connected_components
+from coinflip.lattice import Box, FlipKind
 
 FLIP_NAMES = {f.value: f for f in FlipKind}
 PUZZLES = {name: f for name, f in shapes.FAMILIES.items() if f.is_puzzle}
@@ -288,12 +288,11 @@ def cmd_analyze(args, parser) -> int:
     print(f"shape: {label}")
     print(f"total coins: {len(coins)}")
     print(f"coordinate ranges: a {box.a_lo}..{box.a_hi}, b {box.b_lo}..{box.b_hi}")
-    components = connected_components(coins)
+    components = oracle.components(coins)
     print(f"connected components: {len(components)}")
-    for i, comp in enumerate(components):
-        cls = classify_triangle(comp)
+    for i, (_, size, cls) in enumerate(components):
         desc = f"{cls[0]} triangle, {cls[1]} rows" if cls else "not a triangle"
-        print(f"  component {i}: {len(comp)} coins, {desc}")
+        print(f"  component {i}: {size} coins, {desc}")
     for flip in flips:
         print(_flip_summary(coins, flip))
     return 0

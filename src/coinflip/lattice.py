@@ -178,15 +178,14 @@ def classify_triangle(component) -> Optional[tuple[str, int]]:
     if k is None:
         return None
     # k(k+1)/2 distinct coins equal a k-row template exactly when they lie
-    # inside it. With (a0, b0) the least and (a1, b1) the greatest
-    # coordinates, every coin has a >= a0 and b >= b0, so the coins fill
-    # the up template iff every a + b <= a0 + b0 + k - 1, and the down
-    # template iff every a + b >= a1 + b1 - (k - 1). No template is built.
-    # strict: a coin that is not a pair raises, as where others unpack it
-    a_s, b_s = zip(*coins, strict=True)
-    sums = list(map(add, a_s, b_s))
-    if max(sums) <= min(a_s) + min(b_s) + k - 1:
+    # inside it. The coins' box (`Box.of`, which raises for a coin that is
+    # not a pair) has every a >= a_lo and b >= b_lo, so they fill the up
+    # template placed at (a_lo, b_lo) iff every a + b <= a_lo + b_lo + k - 1,
+    # and the down template placed at (a_hi, b_hi) iff every
+    # a + b >= a_hi + b_hi - (k - 1). No template is built.
+    box = Box.of(coins)
+    if box.s_hi <= box.a_lo + box.b_lo + k - 1:
         return ("up", k)
-    if min(sums) >= max(a_s) + max(b_s) - k + 1:
+    if box.s_lo >= box.a_hi + box.b_hi - k + 1:
         return ("down", k)
     return None

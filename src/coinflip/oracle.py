@@ -135,7 +135,8 @@ class OverlapResult(NamedTuple):
 
 
 class Component(NamedTuple):
-    """A connected protrusion and its triangle classification (or None)."""
+    """A touching cluster of coins, such as a protrusion, and its triangle
+    classification (or None)."""
 
     coins: frozenset
     size: int
@@ -227,7 +228,9 @@ def _optimal_sets(start, placement, result):
     return target, source
 
 
-def _as_components(coins) -> tuple[Component, ...]:
+def components(coins) -> tuple[Component, ...]:
+    """The touching clusters of `coins`, in `connected_components` order,
+    each with its size and its `classify_triangle` class."""
     return tuple(
         Component(coins=c, size=len(c), triangle=classify_triangle(c))
         for c in connected_components(coins)
@@ -253,8 +256,8 @@ def protrusions(
     """
     start = as_coin_set(start)
     target, source = _optimal_sets(start, placement, result)
-    source_components = _as_components(source)
-    target_components = _as_components(target - start)
+    source_components = components(source)
+    target_components = components(target - start)
     sizes = sorted((c.size for c in source_components), reverse=True)
     if expected_parts is not None:
         if len(sizes) > expected_parts:

@@ -7,7 +7,7 @@ with three marks: coins that stay (overlap), coins that must move out
 
 from __future__ import annotations
 
-from coinflip.lattice import as_coin_set, embed
+from coinflip.lattice import Box, as_coin_set, embed
 
 ASCII_GLYPHS = {"stay": "O", "source": ".", "target": "*"}
 
@@ -79,10 +79,10 @@ _SVG_STYLE = """\
 
 def fits_svg(cells) -> bool:
     """Whether every cell's |a| and |b| stay below MAX_SVG_COORD, so that
-    svg_diagram can place each one exactly."""
-    # strict: a coin that is not a pair raises, as where others unpack it
-    a_s, b_s = zip(*cells, strict=True)
-    return max(map(abs, a_s + b_s)) < MAX_SVG_COORD
+    svg_diagram can place each one exactly: the bounds of the cells' box
+    (`Box.of`, which raises for a cell that is not a pair) do."""
+    box = Box.of(cells)
+    return max(-box.a_lo, box.a_hi, -box.b_lo, box.b_hi) < MAX_SVG_COORD
 
 
 def svg_diagram(start, target) -> str:

@@ -12,7 +12,7 @@ from unittest.mock import patch
 
 import pytest
 
-from coinflip import _scan, cli
+from coinflip import _scan, cli, oracle
 from coinflip._scan import (
     MAX_GRID_BYTES,
     MAX_SCAN_BYTES,
@@ -240,7 +240,7 @@ def test_analyze_refuses_an_over_budget_file_before_any_output(capsys, monkeypat
     def components(coins):
         raise AssertionError("analyze reported on a shape it then refused")
 
-    monkeypatch.setattr(cli, "connected_components", components)
+    monkeypatch.setattr(oracle, "components", components)
     with pytest.raises(ScanBudgetError) as scan:
         solve(coins, FlipKind.ROTATE_180)
     assert scan.value.estimate_bytes > MAX_SCAN_BYTES

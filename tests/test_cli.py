@@ -443,6 +443,26 @@ def test_analyze_custom_disconnected(capsys, tmp_path):
     assert "1 coins, up triangle, 1 rows" in out
 
 
+def test_analyze_lists_each_component_in_order(capsys, tmp_path):
+    # four clusters far apart, listed by their least coin: a pair, an up
+    # triangle, a down triangle of 3 coins and a line of 3, which is not one
+    up = {(i, j) for j in range(3) for i in range(3 - j)}
+    down = {(100 - i, 50 - j) for j in range(2) for i in range(2 - j)}
+    line = {(200, 0), (201, 0), (202, 0)}
+    pair = {(-40, 5), (-40, 6)}
+    path = tmp_path / "four.txt"
+    path.write_text(serialize(line | pair | down | up))
+    code, out = run(capsys, ["analyze", "--shape-file", str(path)])
+    assert code == 0
+    assert [text for text in out.splitlines() if "component" in text] == [
+        "connected components: 4",
+        "  component 0: 2 coins, not a triangle",
+        "  component 1: 6 coins, up triangle, 3 rows",
+        "  component 2: 3 coins, down triangle, 2 rows",
+        "  component 3: 3 coins, not a triangle",
+    ]
+
+
 def test_render_refuses_an_oversized_ascii_grid(capsys, tmp_path):
     # two coins whose grid is 4096 lines x 4098 columns, just over the cap;
     # drawn anyway it would still finish in a fraction of a second

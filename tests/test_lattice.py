@@ -208,6 +208,52 @@ def test_classify_triangle_agrees_with_distance_check(k, da, db, flipped):
     assert _congruent_to_some_triangle(placed)
 
 
+def up_template(k, a, b):
+    """The k-row up triangle with least a and b at (a, b)."""
+    return frozenset((a + i, b + j) for j in range(k) for i in range(k - j))
+
+
+def down_template(k, a, b):
+    """The k-row down triangle with greatest a and b at (a, b)."""
+    return frozenset((a - i, b - j) for j in range(k) for i in range(k - j))
+
+
+def template_class(coins):
+    """classify_triangle by brute force: build both templates and compare."""
+    k = triangle_number_index(len(coins))
+    if k is None:
+        return None
+    a_s, b_s = [a for a, _ in coins], [b for _, b in coins]
+    if coins == up_template(k, min(a_s), min(b_s)):
+        return ("up", k)
+    if coins == down_template(k, max(a_s), max(b_s)):
+        return ("down", k)
+    return None
+
+
+@st.composite
+def triangular_counts(draw):
+    """T(k) distinct coins, k <= 5, from a 5 x 5 window."""
+    k = draw(st.integers(1, 5))
+    count = k * (k + 1) // 2
+    cells = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    return draw(st.frozensets(cells, min_size=count, max_size=count))
+
+
+templates = st.builds(
+    lambda k, a, b, up: (up_template if up else down_template)(k, a, b),
+    st.integers(1, 5),
+    st.integers(-50, 50),
+    st.integers(-50, 50),
+    st.booleans(),
+)
+
+
+@given(st.one_of(triangular_counts(), templates))
+def test_classify_triangle_matches_the_templates(coins):
+    assert classify_triangle(coins) == template_class(coins)
+
+
 lines = st.builds(
     lambda start, step, length: frozenset(
         (start[0] + i * step[0], start[1] + i * step[1]) for i in range(length)
