@@ -206,8 +206,8 @@ def counter_scan(start, flipped, grid: Grid):
     ceil(pairs / BAND_PAIRS) equal bands [lo, hi), scanned in ascending
     order; a scan of at most BAND_PAIRS pairs is one band. In a band, each
     flipped key kf pairs with the start keys from lo - kf up to hi - kf, a
-    slice of ks found by bisection, and the band's pairs are counted in a
-    Counter of its own.
+    slice of ks found by bisection (the whole row when there is one band),
+    and the band's pairs are counted in a Counter of its own.
 
     When ks == kfs, pairs (i, j) and (j, i) share a key. That is so when
     the image is a translate of the shape's point reflection: under
@@ -247,8 +247,7 @@ def counter_scan(start, flipped, grid: Grid):
         counts = Counter()
         for i, kf in enumerate(kfs, 1):
             j = i if half else 0  # a half count pairs kf with the keys after it
-            # one band takes every row whole: no bisects
-            row = ks[j:] if bands == 1 else ks[bisect_left(ks, lo - kf, j) : bisect_left(ks, hi - kf, j)]
+            row = ks[bisect_left(ks, lo - kf, j) : bisect_left(ks, hi - kf, j)]
             counts.update(map(kf.__add__, row))
         centres = ks[bisect_left(ks, -(-lo // 2)) : bisect_left(ks, -(-hi // 2))] if half else []
         top = max(counts.values(), default=0)

@@ -4,9 +4,13 @@ Each family has three equivalent calculations:
 
   old        - floor-divide the coin total (by 3 for triangles, 4 for rhombi)
                and discard the remainder;
-  new        - a sum of triangular numbers (three for triangles, two for
-               rhombi) selected by the remainder of a row-count division;
+  new        - a sum of k triangular numbers, one per protruding triangle
+               (k = 3 for triangles, 2 for rhombi);
   polynomial - the new formula with the triangular numbers multiplied out.
+
+The new formula is one rule for both puzzles, the paper's connection
+between the rhombus and the triangle: with m, q = divmod(rows - 1, k),
+q protrusions have m + 1 rows and the other k - q have m rows.
 
 All three agree for every row count; the oracle module confirms the value
 is actually the minimum move count.
@@ -40,6 +44,24 @@ def _check_rows(rows: int):
         raise ValueError(f"row count must be >= 1, got {rows}")
 
 
+def _split_moves(rows: int, k: int) -> Decomposition:
+    """q parts T(m + 1), then k - q parts T(m), for m, q = divmod(rows - 1, k).
+    The quotient is shifted: divmod(rows, k) overshoots when k divides rows
+    (a 6-row triangle would give 15 moves instead of 7)."""
+    _check_rows(rows)
+    m, q = divmod(rows - 1, k)
+    parts = (triangular(m + 1),) * q + (triangular(m),) * (k - q)
+    return Decomposition(parts=parts, moves=sum(parts))
+
+
+def _split_polynomial(rows: int, k: int) -> int:
+    """_split_moves multiplied out: q·T(m + 1) + (k - q)·T(m) is
+    (k·m² + (k + 2q)·m + 2q) / 2."""
+    _check_rows(rows)
+    m, q = divmod(rows - 1, k)
+    return (k * m * m + (k + 2 * q) * m + 2 * q) // 2
+
+
 # -- triangles ---------------------------------------------------------------
 
 
@@ -50,47 +72,21 @@ def triangle_moves_old(rows: int) -> int:
 
 
 def triangle_moves_new(rows: int) -> Decomposition:
-    """Move count as a sum of three triangular numbers.
-
-    The row division that picks the branch is m = floor((rows - 1) / 3),
-    p = rows mod 3. The quotient is shifted: with floor(rows / 3) the
-    p = 0 branch overshoots (rows = 6 would give 15 instead of 7). The
-    shifted quotient matches the brute-force oracle on all three branches.
-    """
-    _check_rows(rows)
-    m, p = (rows - 1) // 3, rows % 3
-    tm = triangular(m)
-    tm1 = triangular(m + 1)
-    if p == 1:
-        parts = (tm, tm, tm)
-    elif p == 2:
-        parts = (tm1, tm, tm)
-    else:
-        parts = (tm1, tm1, tm)
-    return Decomposition(parts=parts, moves=sum(parts))
+    """Three triangular numbers: with m, q = divmod(rows - 1, 3),
+    (T(m), T(m), T(m)), (T(m+1), T(m), T(m)) or (T(m+1), T(m+1), T(m))
+    for q = 0, 1, 2."""
+    return _split_moves(rows, 3)
 
 
 def triangle_moves_polynomial(rows: int) -> int:
-    """The triangle decomposition multiplied out, with the same shifted
-    division as triangle_moves_new.
-
-    The p = 1 branch is (3m^2 + 3m) / 2, the correct expansion of
-    3 * m(m+1)/2.
-    """
-    _check_rows(rows)
-    m, p = (rows - 1) // 3, rows % 3
-    if p == 1:
-        return (3 * m * m + 3 * m) // 2
-    if p == 2:
-        return (3 * m * m + 5 * m + 2) // 2
-    return (3 * m * m + 7 * m + 4) // 2
+    """The triangle decomposition multiplied out: (3m^2 + 3m) / 2,
+    (3m^2 + 5m + 2) / 2 or (3m^2 + 7m + 4) / 2 for q = 0, 1, 2."""
+    return _split_polynomial(rows, 3)
 
 
 def triangle_move_increment(rows: int) -> int:
-    """How many more moves row count `rows` needs than `rows - 1`.
-
-    Equals ceil((rows - 1) / 3): the increments go 1, 1, 1, 2, 2, 2, 3, ...
-    """
+    """How many more moves row count `rows` needs than `rows - 1`:
+    ceil((rows - 1) / 3), so the increments go 1, 1, 1, 2, 2, 2, 3, ..."""
     if rows < 2:
         raise ValueError(f"increment needs rows >= 2, got {rows}")
     return triangle_moves_new(rows).moves - triangle_moves_new(rows - 1).moves
@@ -106,19 +102,12 @@ def rhombus_moves_old(rows: int) -> int:
 
 
 def rhombus_moves_new(rows: int) -> Decomposition:
-    """Move count as a sum of two triangular numbers, with the plain row
-    division rows = 2m + p."""
-    _check_rows(rows)
-    m, p = divmod(rows, 2)
-    if p == 1:
-        parts = (triangular(m), triangular(m))
-    else:
-        parts = (triangular(m), triangular(m - 1))
-    return Decomposition(parts=parts, moves=sum(parts))
+    """Two triangular numbers: with m, q = divmod(rows - 1, 2), (T(m), T(m))
+    for odd rows and (T(m+1), T(m)) for even rows."""
+    return _split_moves(rows, 2)
 
 
 def rhombus_moves_polynomial(rows: int) -> int:
-    """The rhombus decomposition multiplied out: m^2 + m or m^2."""
-    _check_rows(rows)
-    m, p = divmod(rows, 2)
-    return m * m + (m if p == 1 else 0)
+    """The rhombus decomposition multiplied out: m^2 + m for odd rows and
+    (m + 1)^2 for even rows, with m = (rows - 1) // 2."""
+    return _split_polynomial(rows, 2)

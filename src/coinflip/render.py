@@ -7,7 +7,7 @@ with three marks: coins that stay (overlap), coins that must move out
 
 from __future__ import annotations
 
-from coinflip.lattice import Box, as_coin_set, embed
+from coinflip.lattice import SQRT3, Box, as_coin_set, embed
 
 ASCII_GLYPHS = {"stay": "O", "source": ".", "target": "*"}
 
@@ -97,37 +97,33 @@ def svg_diagram(start, target) -> str:
             f"SVG diagram needs every coordinate below {MAX_SVG_COORD} (2^51) "
             "in absolute value to place each coin exactly"
         )
-    placed = []
-    for c in sorted(cells):
-        x, y = embed(c)
-        placed.append((x, -y, cells[c]))  # svg y axis points down
-    xs = [p[0] for p in placed]
-    ys = [p[1] for p in placed]
-    x0, y0 = min(xs) - 1.0, min(ys) - 1.0
-    width = max(xs) - min(xs) + 2.0
-    height = max(ys) - min(ys) + 3.2  # room for the legend row
+    # the edges: x = a + b/2 is grid column 2a + b halved; svg's y = -b·√3/2
+    b_hi, min_col, lines, columns = _grid_box(cells)
+    b_lo, max_col = b_hi - lines + 1, min_col + columns - 1
+    left, right = min_col / 2.0, max_col / 2.0
+    top, bottom = -(b_hi * (SQRT3 / 2.0)), -(b_lo * (SQRT3 / 2.0))
+    width, height = right - left + 2.0, bottom - top + 3.2  # room for the legend
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{x0:.4f} {y0:.4f} {width:.4f} {height:.4f}" '
+        f'viewBox="{left - 1.0:.4f} {top - 1.0:.4f} {width:.4f} {height:.4f}" '
         f'width="{width * 24:.0f}" height="{height * 24:.0f}">',
         f"  <style>\n{_SVG_STYLE}\n  </style>",
     ]
-    for x, y, kind in placed:
-        out.append(
-            f'  <circle class="{kind}" cx="{x:.4f}" cy="{y:.4f}" r="0.5"/>'
-        )
-    legend_y = max(ys) + 1.6
+    for c in sorted(cells):
+        x, y = embed(c)
+        out.append(f'  <circle class="{cells[c]}" cx="{x:.4f}" cy="{-y:.4f}" r="0.5"/>')
+    legend_y = bottom + 1.6
     for dx, kind, label in (
         (0.0, "stay", "stays"),
         (2.5, "source", "moves"),
         (5.0, "target", "destination"),
     ):
         out.append(
-            f'  <circle class="{kind}" cx="{min(xs) + dx:.4f}" '
+            f'  <circle class="{kind}" cx="{left + dx:.4f}" '
             f'cy="{legend_y:.4f}" r="0.35"/>'
         )
         out.append(
-            f'  <text x="{min(xs) + dx + 0.55:.4f}" y="{legend_y + 0.18:.4f}" '
+            f'  <text x="{left + dx + 0.55:.4f}" y="{legend_y + 0.18:.4f}" '
             f'font-size="0.5" font-family="sans-serif">{label}</text>'
         )
     out.append("</svg>")

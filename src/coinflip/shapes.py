@@ -72,7 +72,7 @@ class Family(NamedTuple):
 
     The formulas are `coinflip.formulas.{name}_moves_{old,new,polynomial}`,
     looked up when `formula` is called, so a patched module function is
-    the one used.
+    the one used. A puzzle has one protrusion per part of `formula("new")(n)`.
     """
 
     name: str
@@ -80,7 +80,6 @@ class Family(NamedTuple):
     coin_count: Callable[[int], int]  # len(box(n).points())
     default_flip: FlipKind = FlipKind.ROTATE_180
     # Puzzle families only (the rest keep these defaults):
-    protrusion_arity: int | None = None  # protruding triangles per solution
     cross_check_flips: tuple[FlipKind, ...] = ()  # verify's other flips
     divisor: int | None = None  # the old formula is coin_count // divisor
     old_column: str = ""  # the table's name for coin_count / divisor
@@ -103,7 +102,6 @@ FAMILIES = {
             "triangle",
             lambda n: Box(0, n - 1, 0, n - 1, 0, n - 1),
             lambda n: formulas.triangular(n),
-            protrusion_arity=3,
             divisor=3,
             old_column="old_formula",
             increments=True,
@@ -113,7 +111,6 @@ FAMILIES = {
             lambda n: Box(0, n - 1, 0, n - 1, 0, 2 * n - 2),
             lambda n: n * n,
             default_flip=FlipKind.MIRROR_HORIZONTAL,
-            protrusion_arity=2,
             cross_check_flips=(FlipKind.MIRROR_VERTICAL,),
             divisor=4,
             old_column="coins_div_4",

@@ -50,9 +50,10 @@ def test_puzzle_families_are_the_ones_with_formulas():
     assert list(cli.PUZZLES) == ["triangle", "rhombus"]
     assert FAMILIES["triangle"].formula("new") is formulas.triangle_moves_new
     assert FAMILIES["rhombus"].formula("old") is formulas.rhombus_moves_old
+    for name, parts in (("triangle", 3), ("rhombus", 2)):
+        assert {len(FAMILIES[name].formula("new")(n).parts) for n in range(1, 51)} == {parts}
     hexagon = FAMILIES["hexagon"]
     assert not hexagon.is_puzzle
-    assert hexagon.protrusion_arity is None
     assert hexagon.cross_check_flips == ()
 
 
@@ -186,4 +187,26 @@ def test_verify_dumps_a_rhombus_protrusion_mismatch(capsys, monkeypatch):
         "FAIL at rows=4: rhombus protrusions at shift (4, 0)\n"
         "  sizes=(3, 1, 1) expected=(3, 1) source=[3, 1] "
         "target=[3, 1] non-triangles=0\n"
+    ))
+
+
+def test_verify_dumps_protrusions_that_exceed_the_parts(capsys, monkeypatch):
+    # split each component of more than one coin in two: the 4-row
+    # rhombus's 3-coin protrusion becomes two, one more than its 2 parts
+    real = cli.oracle.components
+
+    def components(coins):
+        split = []
+        for c in real(coins):
+            if c.size == 1:
+                split.append(c)
+            else:
+                first, *rest = sorted(c.coins)
+                split += real({first}) + real(rest)
+        return tuple(split)
+
+    monkeypatch.setattr(cli.oracle, "components", components)
+    assert run(capsys, ["verify", "5"]) == (1, _rows_before(4) + (
+        "FAIL at rows=4: rhombus protrusions at shift (4, 0)\n"
+        "  3 protrusions exceed the expected 2\n"
     ))

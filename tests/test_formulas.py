@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coinflip.formulas import (
+    _split_moves,
+    _split_polynomial,
     rhombus_moves_new,
     rhombus_moves_old,
     rhombus_moves_polynomial,
@@ -102,6 +104,26 @@ def test_increment_law():
     runs = [triangle_move_increment(r) for r in range(2, 101)]
     for i in range(0, len(runs) - 2, 3):
         assert runs[i] == runs[i + 1] == runs[i + 2]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_k_part_split(k):
+    # k descending parts T(m + 1) or T(m), multiplied out by the
+    # polynomial, growing by ceil((rows - 1) / k) from one row to the next
+    prev = None
+    for rows in range(1, 501):
+        dec = _split_moves(rows, k)
+        m = (rows - 1) // k
+        assert len(dec.parts) == k
+        assert list(dec.parts) == sorted(dec.parts, reverse=True)
+        assert set(dec.parts) <= {triangular(m), triangular(m + 1)}
+        assert sum(dec.parts) == dec.moves == _split_polynomial(rows, k)
+        if prev is not None:
+            assert dec.moves - prev == -(-(rows - 1) // k)
+        prev = dec.moves
+    for split in (_split_moves, _split_polynomial):
+        with pytest.raises(ValueError):
+            split(0, k)
 
 
 def test_increment_undefined_for_first_row():

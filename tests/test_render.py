@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coinflip import cli
 from coinflip.lattice import FlipKind
 from coinflip.oracle import solve, target_set
 from coinflip.render import (
@@ -141,3 +144,72 @@ def test_svg_circle_counts_match_solution(points, flip):
     doc = svg_diagram(points, target)
     assert doc.count('r="0.5"') == len(frozenset(points) | target)
     assert doc.count('class="stay"') == result.max_overlap + 1
+
+
+# The bytes of `render triangle 4 --format svg`, as the CLI prints them.
+TRIANGLE_4_SVG = (
+    '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.0000 -3.5981 5.0000 6.6641" width="120" height="160">\n'
+    '  <style>\n'
+    '    .stay { fill: #1a1a1a; }\n'
+    '    .source { fill: #ffffff; stroke: #1a1a1a; stroke-width: 0.06; }\n'
+    '    .target { fill: #2f9e44; }\n'
+    '  </style>\n'
+    '  <circle class="target" cx="0.0000" cy="-1.7321" r="0.5"/>\n'
+    '  <circle class="source" cx="0.0000" cy="-0.0000" r="0.5"/>\n'
+    '  <circle class="stay" cx="0.5000" cy="-0.8660" r="0.5"/>\n'
+    '  <circle class="stay" cx="1.0000" cy="-1.7321" r="0.5"/>\n'
+    '  <circle class="source" cx="1.5000" cy="-2.5981" r="0.5"/>\n'
+    '  <circle class="stay" cx="1.0000" cy="-0.0000" r="0.5"/>\n'
+    '  <circle class="stay" cx="1.5000" cy="-0.8660" r="0.5"/>\n'
+    '  <circle class="stay" cx="2.0000" cy="-1.7321" r="0.5"/>\n'
+    '  <circle class="target" cx="1.5000" cy="0.8660" r="0.5"/>\n'
+    '  <circle class="stay" cx="2.0000" cy="-0.0000" r="0.5"/>\n'
+    '  <circle class="stay" cx="2.5000" cy="-0.8660" r="0.5"/>\n'
+    '  <circle class="target" cx="3.0000" cy="-1.7321" r="0.5"/>\n'
+    '  <circle class="source" cx="3.0000" cy="-0.0000" r="0.5"/>\n'
+    '  <circle class="stay" cx="0.0000" cy="2.4660" r="0.35"/>\n'
+    '  <text x="0.5500" y="2.6460" font-size="0.5" font-family="sans-serif">stays</text>\n'
+    '  <circle class="source" cx="2.5000" cy="2.4660" r="0.35"/>\n'
+    '  <text x="3.0500" y="2.6460" font-size="0.5" font-family="sans-serif">moves</text>\n'
+    '  <circle class="target" cx="5.0000" cy="2.4660" r="0.35"/>\n'
+    '  <text x="5.5500" y="2.6460" font-size="0.5" font-family="sans-serif">destination</text>\n'
+    '</svg>\n'
+)
+
+
+def test_svg_bytes_of_triangle_4(capsys):
+    assert cli.main(["render", "triangle", "4", "--format", "svg"]) == 0
+    assert capsys.readouterr().out == TRIANGLE_4_SVG
+
+
+# The six corners of a hexagon of radius 2^50 and three coins near its
+# centre: each embedded coordinate needs 51 bits, the most an SVG centre
+# is placed exactly with. The sha256 of each flip's SVG, and the first
+# line, which all three share.
+FAR = 2**50
+FAR_SHAPE = (
+    (FAR, -FAR), (-FAR, FAR), (FAR, 0), (-FAR, 0), (0, FAR), (0, -FAR),
+    (0, 0), (1, 0), (0, 1), (3, -1),
+)
+FAR_SVG_SHA256 = {
+    "rot180": "e2bfceee2e77ef06d41d924a3e8d404287fad906323614ac25d975472fd16682",
+    "mirror-h": "4e515456e53d411dc4c3ce557258f2c436e18cad2120fb9043e9c810b88775b1",
+    "mirror-v": "d00a19c8bc746c80a0a5f3806729f3e6391c963900b5b043ef0a79f1698d72b9",
+}
+FAR_SVG_HEAD = (
+    '<svg xmlns="http://www.w3.org/2000/svg" '
+    'viewBox="-1125899906842625.0000 -975057921444246.2500 '
+    '2251799813685250.0000 1950115842888493.7500" '
+    'width="54043195528446000" height="46802780229323848">'
+)
+
+
+@pytest.mark.parametrize("flip", sorted(FAR_SVG_SHA256))
+def test_svg_bytes_of_a_far_flung_shape(flip, capsys, tmp_path):
+    path = tmp_path / "far.txt"
+    path.write_text("".join(f"{a} {b}\n" for a, b in FAR_SHAPE))
+    argv = ["render", "--shape-file", str(path), "--format", "svg", "--flip", flip]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.split("\n", 1)[0] == FAR_SVG_HEAD
+    assert hashlib.sha256(out.encode()).hexdigest() == FAR_SVG_SHA256[flip]

@@ -171,6 +171,8 @@ def test_default_flip_per_family():
 
 
 def test_protrusion_arity_per_family():
-    assert FAMILIES["triangle"].protrusion_arity == 3
-    assert FAMILIES["rhombus"].protrusion_arity == 2
-    assert FAMILIES["hexagon"].protrusion_arity is None
+    # a puzzle's protrusion count is the part count of its new formula
+    for n in range(1, 51):
+        assert len(FAMILIES["triangle"].formula("new")(n).parts) == 3
+        assert len(FAMILIES["rhombus"].formula("new")(n).parts) == 2
+    assert not FAMILIES["hexagon"].is_puzzle
