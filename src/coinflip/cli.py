@@ -1,5 +1,13 @@
 """coinflip command line: solve, table, render, verify, analyze.
 
+Each command's arguments are stated once, as data, in COMMANDS. A plain
+command line (the command, its positionals, then options spelled in full,
+each with its value) is read from that table by _quick_parse, without
+importing argparse. Any other command line, -h and every parse error
+included, goes to the argparse parser that build_parser makes from the
+same table, so argparse alone decides what is accepted and prints every
+help and error message.
+
 Exit codes: 0 success; 1 verification failure; 2 usage or parse error, or
 a scan refused as over budget (see coinflip._scan.MAX_SCAN_NS and
 MAX_SCAN_BYTES); 141 stdout closed by its reader before the output ended,
@@ -8,14 +16,17 @@ the status a shell reports for a writer killed by SIGPIPE.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from typing import Iterable, Iterator
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from coinflip import formulas, oracle, shapes
 from coinflip._scan import ScanBudgetError, box_grid, kernel_for
 from coinflip.lattice import Box, FlipKind
+
+if TYPE_CHECKING:
+    import argparse
 
 FLIP_NAMES = {f.value: f for f in FlipKind}
 PUZZLES = {name: f for name, f in shapes.FAMILIES.items() if f.is_puzzle}
@@ -80,17 +91,6 @@ def format_table_markdown(header: tuple[str, ...], rows: Iterable[list[str]]) ->
 
 
 # -- shape resolution ---------------------------------------------------------
-
-
-def _add_shape_args(sub: argparse.ArgumentParser):
-    sub.add_argument(
-        "shape",
-        nargs="?",
-        choices=[*shapes.FAMILIES, "custom"],
-        help="shape family (or 'custom' with --shape-file)",
-    )
-    sub.add_argument("size", nargs="?", type=int, help="rows (triangle/rhombus) or side (hexagon)")
-    sub.add_argument("--shape-file", metavar="PATH", help="load a custom shape file")
 
 
 def _check_scans(box: Box, count: int, flips):
@@ -314,47 +314,56 @@ def _flip_summary(coins, flip: FlipKind) -> str:
 # -- entry point --------------------------------------------------------------
 
 
-def _solve_arguments(sub: argparse.ArgumentParser):
-    _add_shape_args(sub)
-    sub.add_argument("--flip", choices=sorted(FLIP_NAMES), help="flip kind (default per family)")
-    sub.add_argument("--moves", action="store_true", help="print the explicit move list")
+# Each command's arguments as (names, add_argument keywords). build_parser
+# hands them to argparse; _quick_parse reads "nargs", "type", "choices",
+# "default" and "action" ("store_true"), and ignores "help" and "metavar".
+_SHAPE_ARGUMENTS = (
+    (("shape",), {
+        "nargs": "?",
+        "choices": [*shapes.FAMILIES, "custom"],
+        "help": "shape family (or 'custom' with --shape-file)",
+    }),
+    (("size",), {"nargs": "?", "type": int, "help": "rows (triangle/rhombus) or side (hexagon)"}),
+    (("--shape-file",), {"metavar": "PATH", "help": "load a custom shape file"}),
+)
 
-
-def _table_arguments(sub: argparse.ArgumentParser):
-    sub.add_argument("family", choices=list(PUZZLES))
-    sub.add_argument("max_rows", type=int)
-    sub.add_argument("--format", choices=["markdown", "csv"], default="markdown")
-    sub.add_argument(
-        "--verbose-diff",
-        action="store_true",
-        help="print increments as subtractions, e.g. '5 - 3 = 2'",
-    )
-
-
-def _render_arguments(sub: argparse.ArgumentParser):
-    _add_shape_args(sub)
-    sub.add_argument("--flip", choices=sorted(FLIP_NAMES))
-    sub.add_argument("--placement", type=int, default=0, help="optimal placement index")
-    sub.add_argument("--format", choices=["ascii", "svg"], default="ascii")
-
-
-def _verify_arguments(sub: argparse.ArgumentParser):
-    sub.add_argument("max_rows", type=int)
-
-
-# name -> (help, add_arguments, handler), in the order help lists them
+# name -> (help, arguments, handler), in the order help lists them
 COMMANDS = {
-    "solve": ("minimum moves to flip a shape", _solve_arguments, cmd_solve),
-    "table": ("move-count table for a shape family", _table_arguments, cmd_table),
-    "render": ("draw a superimposition diagram", _render_arguments, cmd_render),
-    "verify": ("check formulas against the oracle", _verify_arguments, cmd_verify),
-    "analyze": ("structure report for a shape", _add_shape_args, cmd_analyze),
+    "solve": ("minimum moves to flip a shape", (
+        *_SHAPE_ARGUMENTS,
+        (("--flip",), {"choices": sorted(FLIP_NAMES), "help": "flip kind (default per family)"}),
+        (("--moves",), {"action": "store_true", "help": "print the explicit move list"}),
+    ), cmd_solve),
+    "table": ("move-count table for a shape family", (
+        (("family",), {"choices": list(PUZZLES)}),
+        (("max_rows",), {"type": int}),
+        (("--format",), {"choices": ["markdown", "csv"], "default": "markdown"}),
+        (("--verbose-diff",), {
+            "action": "store_true",
+            "help": "print increments as subtractions, e.g. '5 - 3 = 2'",
+        }),
+    ), cmd_table),
+    "render": ("draw a superimposition diagram", (
+        *_SHAPE_ARGUMENTS,
+        (("--flip",), {"choices": sorted(FLIP_NAMES)}),
+        (("--placement",), {"type": int, "default": 0, "help": "optimal placement index"}),
+        (("--format",), {"choices": ["ascii", "svg"], "default": "ascii"}),
+    ), cmd_render),
+    "verify": ("check formulas against the oracle", (
+        (("max_rows",), {"type": int}),
+    ), cmd_verify),
+    "analyze": ("structure report for a shape", _SHAPE_ARGUMENTS, cmd_analyze),
 }
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The coinflip parser, with every subcommand or only `command`.
+    """The coinflip argparse parser, made from COMMANDS, with every
+    subcommand or only `command`.
 
+    argparse is imported and a parser built only when one must print:
+    main() builds one for a command line that _quick_parse declines (help,
+    an error, or a form the quick path does not read), and a handler's
+    parser.error on the quick path builds one to print the usage line.
     Configuring a subparser costs far more than parsing with it (each
     ArgumentParser and add_argument looks up gettext and the terminal
     size), so main() configures only the subcommand it was given. Any
@@ -368,24 +377,84 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     a pinned one would also rename the action in its "invalid choice" and
     "required" messages.
     """
+    import argparse  # loaded only for help and errors
+
     parser = argparse.ArgumentParser(
         prog="coinflip",
         description="Exact solver for flipping coin shapes on the triangular lattice",
     )
     pinned = {} if command is None else {"metavar": "{" + ",".join(COMMANDS) + "}"}
     sub = parser.add_subparsers(dest="command", required=True, **pinned)
-    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+    for name, (help_text, arguments, handler) in COMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
+            for names, keywords in arguments:
+                p.add_argument(*names, **keywords)
             p.set_defaults(func=handler)
     return parser
 
 
+def _quick_parse(argv: list[str]) -> SimpleNamespace | None:
+    """What build_parser().parse_args(argv) returns, read from COMMANDS
+    without argparse, for a command line of the plain form
+
+        COMMAND [POSITIONAL]... [OPTION [VALUE]]...
+
+    where each option is spelled in full and no value starts with '-'.
+    `type` and `choices` are applied as argparse applies them. None for
+    any other command line, which argparse then parses: help, every error,
+    abbreviations, --opt=value, '--', values starting with '-', and a
+    positional after an option (argparse's reading of an optional
+    positional there differs between Python versions)."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, arguments, handler = COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": handler}
+    positionals, options = [], {}
+    for names, keywords in arguments:
+        dest = names[0].lstrip("-").replace("-", "_")
+        values[dest] = keywords.get("default", False if "action" in keywords else None)
+        if names[0].startswith("-"):
+            options.update(dict.fromkeys(names, (dest, keywords)))
+        else:
+            positionals.append((dest, keywords))
+    tokens = iter(argv[1:])
+    after_option = False
+    for token in tokens:
+        if token in options:
+            after_option = True
+            dest, keywords = options[token]
+            if keywords.get("action") == "store_true":
+                values[dest] = True
+                continue
+            token = next(tokens, "-")  # a missing value is refused as one starting with '-'
+        elif after_option or not positionals:
+            return None
+        else:
+            dest, keywords = positionals.pop(0)
+        if token.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(token)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = value
+    if any(keywords.get("nargs") != "?" for _, keywords in positionals):
+        return None  # a required positional is missing
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = _quick_parse(argv)
+    if args is None:
+        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+        args = parser.parse_args(argv)
+    else:
+        # a handler's error builds its command's argparse parser to print through
+        parser = SimpleNamespace(error=lambda message: build_parser(args.command).error(message))
     try:
         code = args.func(args, parser)
         sys.stdout.flush()

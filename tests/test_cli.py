@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import io
 
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 from coinflip import cli, formulas, render
 from coinflip.shapes import ShapeFormatError, load_custom, rhombus, triangle_up
@@ -380,6 +382,27 @@ def test_a_bad_shape_prints_the_usage_line_and_its_error(capsys, argv, message):
     assert capsys.readouterr() == ("", USAGE + f"coinflip: error: {message}\n")
 
 
+# errors a handler raises after parsing, each through the parser main gave it
+HANDLER_ERRORS = [
+    (["table", "triangle", "0"], "max_rows must be >= 1"),
+    (["verify", "0"], "max_rows must be >= 1"),
+    (["render", "triangle", "4", "--placement", "9"],
+     "placement index 9 out of range; valid indices are 0..0"),
+    (["solve", "triangle", "2000"], "the translation scan would take about 1.6e+06 s "
+     "(4004001000000 coin pairs), over the budget of 600 s"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", HANDLER_ERRORS, ids=[" ".join(argv) for argv, _ in HANDLER_ERRORS]
+)
+def test_a_handler_error_prints_the_usage_line_and_its_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", USAGE + f"coinflip: error: {message}\n")
+
+
 def test_a_shape_file_takes_no_size(capsys, tmp_path):
     path = tmp_path / "x.txt"
     path.write_text("0 0\n")
@@ -590,10 +613,111 @@ def test_main_builds_only_the_invoked_command(capsys, monkeypatch):
         return real(command)
 
     monkeypatch.setattr(cli, "build_parser", spy)
+    # a valid command line builds no parser; a handler's error builds its
+    # command's own; a command line argparse must reject builds the full one
     assert cli.main(("table", "triangle", "2")) == 0
     with pytest.raises(SystemExit):
+        cli.main(["render", "triangle", "4", "--placement", "9"])
+    with pytest.raises(SystemExit):
         cli.main(["sol"])
-    assert built == ["table", None]
+    assert built == ["render", None]
+
+
+# ------------------------------------------------------------- quick parse
+
+# one argv of each op shape the benchmark's puzzle_stream runs
+STREAM_ARGV = [
+    ["solve", "triangle", "4"],
+    ["solve", "rhombus", "3", "--moves"],
+    ["analyze", "hexagon", "2"],
+    ["render", "triangle", "5", "--placement", "2"],
+    ["render", "rhombus", "4", "--format", "svg", "--placement", "1"],
+    ["solve", "--shape-file", "blob.txt"],
+    ["solve", "--shape-file", "blob.txt", "--moves"],
+    ["analyze", "--shape-file", "blob.txt"],
+    ["render", "--shape-file", "blob.txt", "--placement", "0"],
+    ["render", "--shape-file", "blob.txt", "--format", "svg", "--placement", "3"],
+    ["table", "triangle", "9", "--format", "csv"],
+    ["table", "rhombus", "3", "--format", "markdown", "--verbose-diff"],
+]
+
+
+def full_parse(argv):
+    """vars() of the full parser's namespace for argv, or None if it exits."""
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        mp.setenv("COLUMNS", "80")
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def quick_parse(argv):
+    namespace = cli._quick_parse(argv)
+    return None if namespace is None else vars(namespace)
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV + STREAM_ARGV, ids=" ".join)
+def test_the_quick_path_takes_every_argv_argparse_accepts_here(argv):
+    # so that a quick path which always declined could not pass the fuzz below
+    expected = full_parse(argv)
+    assert quick_parse(argv) == expected
+    assert expected is not None or argv not in STREAM_ARGV
+
+
+ARGUMENTS = [arg for _, arguments, _ in cli.COMMANDS.values() for arg in arguments]
+OPTION_STRINGS = sorted({name for names, _ in ARGUMENTS for name in names if name[0] == "-"})
+CHOICES = sorted({str(c) for _, keywords in ARGUMENTS for c in keywords.get("choices", ())})
+# what argparse reads in ways a plain reading might not
+ODD_TOKENS = ["--mov", "--flip=rot180", "--", "-", "-h", "-3", "+5", " 7", "1_0", "\u0663", ""]
+ANY_TOKEN = st.sampled_from([*cli.COMMANDS, *OPTION_STRINGS, *CHOICES, "0", "4", *ODD_TOKENS])
+
+
+@st.composite
+def command_lines(draw):
+    """A command, some of its positionals, then some of its options. Half
+    the lines are clean: a known command and valid values, which the quick
+    path often reads. The other half mixes any token into the values and
+    appends up to two more."""
+    noisy = draw(st.booleans())
+    command = draw(st.sampled_from([*cli.COMMANDS, *(("sol", "-h", "") if noisy else ())]))
+    arguments = cli.COMMANDS[command][1] if command in cli.COMMANDS else ARGUMENTS
+    positionals = [keywords for names, keywords in arguments if names[0][0] != "-"]
+    options = [(names[0], keywords) for names, keywords in arguments if names[0][0] == "-"]
+
+    def value_of(keywords):
+        values = [str(c) for c in keywords.get("choices", ())] or ["0", "1", "4", "9"]
+        valid = st.sampled_from(values)
+        return draw(st.one_of(valid, ANY_TOKEN) if noisy else valid)
+
+    given_positionals = positionals[: draw(st.integers(0, len(positionals)))]
+    argv = [command, *(value_of(keywords) for keywords in given_positionals)]
+    for name, keywords in draw(st.lists(st.sampled_from(options), max_size=3)) if options else ():
+        argv += [name] if "action" in keywords else [name, value_of(keywords)]
+    return argv + (draw(st.lists(ANY_TOKEN, max_size=2)) if noisy else [])
+
+
+@given(command_lines())
+# a positional after an option, which argparse reads differently from one
+# Python version to the next
+@example(["solve", "triangle", "--moves", "4"])
+@example(["table", "--format", "csv", "triangle", "4"])
+@example(["solve", "--shape-file"])  # an option without its value
+@settings(max_examples=400, deadline=None)
+def test_the_quick_path_reads_what_argparse_reads_or_declines(argv):
+    quick = quick_parse(argv)
+    event("quick path" if quick is not None else "argparse")
+    if quick is not None:
+        assert quick == full_parse(argv)
+
+
+def test_the_quick_path_reads_every_keyword_of_the_argument_table():
+    read, ignored = {"nargs", "type", "choices", "default", "action"}, {"help", "metavar"}
+    for names, keywords in ARGUMENTS:
+        assert set(keywords) <= read | ignored, names
+        assert keywords.get("action", "store_true") == "store_true", names
+        assert keywords.get("nargs", "?") == "?", names
 
 
 def test_full_parser_errors_name_the_command_argument(capsys, monkeypatch):

@@ -39,8 +39,9 @@ def test_cli_import_leaves_numpy_out():
 
 
 # Loaded on every call, these would cost start-up time that no command
-# needs: the records are named tuples, and only `render` draws.
-SLOW_IMPORTS = {"dataclasses", "inspect", "coinflip.render"}
+# needs: the records are named tuples, only `render` draws, and argparse
+# (which loads gettext) is built only for help and errors.
+SLOW_IMPORTS = {"dataclasses", "inspect", "coinflip.render", "argparse", "gettext"}
 
 
 def test_cli_import_leaves_slow_modules_out():
@@ -55,6 +56,17 @@ def test_cli_import_leaves_slow_modules_out():
     added = set(out.stdout.split())
     assert "coinflip.cli" in added
     assert not added & SLOW_IMPORTS
+
+
+def test_a_valid_command_line_leaves_argparse_out():
+    out = python(
+        "-c",
+        "import sys; before = set(sys.modules); from coinflip.cli import main; "
+        "main(['solve', 'triangle', '4']); "
+        "print(sorted({'argparse', 'gettext'} & (set(sys.modules) - before)))",
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.endswith("protrusions: 1 + 1 + 1\n[]\n")
 
 
 @pytest.mark.parametrize("argv", [
