@@ -5,8 +5,8 @@ command line (the command, its positionals, then options spelled in full,
 each with its value) is read from that table by _quick_parse, without
 importing argparse. Any other command line, -h and every parse error
 included, goes to the argparse parser that build_parser makes from the
-same table, so argparse alone decides what is accepted and prints every
-help and error message.
+same table, so argparse alone decides what is accepted. It also prints
+every help and error message, a handler's UsageError or ScanBudgetError too.
 
 Exit codes: 0 success; 1 verification failure; 2 usage or parse error, or
 a scan refused as over budget (see coinflip._scan.MAX_SCAN_NS and
@@ -31,6 +31,10 @@ if TYPE_CHECKING:
 FLIP_NAMES = {f.value: f for f in FlipKind}
 PUZZLES = {name: f for name, f in shapes.FAMILIES.items() if f.is_puzzle}
 _DECIMAL_DIGITS = 10
+
+
+class UsageError(Exception):
+    """A parsed command line that its handler refuses; main prints it as a parse error."""
 
 
 # -- tables -------------------------------------------------------------------
@@ -99,7 +103,7 @@ def _check_scans(box: Box, count: int, flips):
         kernel_for(box_grid(box, flip, count), count * count)
 
 
-def _resolve_shape(args, parser, every_flip=False):
+def _resolve_shape(args, every_flip=False):
     """The shape that `args` names: its label, its family (None for a
     shape file), its coins, their box (`Box.of(coins)`), and the flips to
     solve it under: every flip in FlipKind order when `every_flip`, else
@@ -109,29 +113,29 @@ def _resolve_shape(args, parser, every_flip=False):
     before building it exhausts memory."""
     if args.shape_file is not None:
         if args.shape not in (None, "custom"):
-            parser.error(f"--shape-file cannot be combined with shape '{args.shape}'")
+            raise UsageError(f"--shape-file cannot be combined with shape '{args.shape}'")
         if args.size is not None:
-            parser.error(f"--shape-file cannot be combined with size {args.size}")
+            raise UsageError(f"--shape-file cannot be combined with size {args.size}")
         try:
             with open(args.shape_file, encoding="utf-8", newline="") as fh:  # keep every CR
                 coins = shapes.load_custom(fh.read())
         except OSError as exc:
-            parser.error(f"cannot read shape file: {exc}")
+            raise UsageError(f"cannot read shape file: {exc}")
         except (shapes.ShapeFormatError, UnicodeDecodeError) as exc:
-            parser.error(f"{args.shape_file}: {exc}")
+            raise UsageError(f"{args.shape_file}: {exc}")
         label, family = f"custom {args.shape_file}", None
         box, count = Box.of(coins), len(coins)
     else:
         if args.shape is None:
-            parser.error("a shape (or --shape-file) is required")
+            raise UsageError("a shape (or --shape-file) is required")
         if args.shape == "custom":
-            parser.error("custom shapes need --shape-file")
+            raise UsageError("custom shapes need --shape-file")
         if args.size is None:
-            parser.error(f"{args.shape} needs a size")
+            raise UsageError(f"{args.shape} needs a size")
         try:
             family = shapes.family(args.shape, args.size)
         except ValueError as exc:
-            parser.error(str(exc))
+            raise UsageError(str(exc))
         label = f"{args.shape} {args.size}"
         box, count = family.box(args.size), family.coin_count(args.size)
     if every_flip:
@@ -152,8 +156,8 @@ def _multiset_text(sizes) -> str:
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_solve(args, parser) -> int:
-    label, family, coins, _, (flip,) = _resolve_shape(args, parser)
+def cmd_solve(args) -> int:
+    label, family, coins, _, (flip,) = _resolve_shape(args)
     result = oracle.solve(coins, flip)
     canonical = result.optimal_placements[0]
     parts = len(family.formula("new")(args.size).parts) if family and family.is_puzzle else None
@@ -174,9 +178,9 @@ def cmd_solve(args, parser) -> int:
     return 0
 
 
-def cmd_table(args, parser) -> int:
+def cmd_table(args) -> int:
     if args.max_rows < 1:
-        parser.error("max_rows must be >= 1")
+        raise UsageError("max_rows must be >= 1")
     family = PUZZLES[args.family]
     fmt = format_table_csv if args.format == "csv" else format_table_markdown
     # row by row, so memory stays flat however many rows are asked for
@@ -185,14 +189,14 @@ def cmd_table(args, parser) -> int:
     return 0
 
 
-def cmd_render(args, parser) -> int:
+def cmd_render(args) -> int:
     from coinflip import render  # only this command draws; the others skip loading it
 
-    _, _, coins, _, (flip,) = _resolve_shape(args, parser)
+    _, _, coins, _, (flip,) = _resolve_shape(args)
     result = oracle.solve(coins, flip)
     count = len(result.optimal_placements)
     if not 0 <= args.placement < count:
-        parser.error(
+        raise UsageError(
             f"placement index {args.placement} out of range; "
             f"valid indices are 0..{count - 1}"
         )
@@ -202,14 +206,14 @@ def cmd_render(args, parser) -> int:
         try:
             svg = render.svg_diagram(coins, target)
         except ValueError as exc:
-            parser.error(str(exc))
+            raise UsageError(str(exc))
         print(svg)
     else:
         try:
             art = render.ascii_diagram(coins, target)
         except ValueError as exc:
             hint = "; use --format svg" if render.fits_svg(coins | target) else ""
-            parser.error(f"{exc}{hint}")
+            raise UsageError(f"{exc}{hint}")
         print(art)
         print()
         print(render.ASCII_LEGEND)
@@ -230,9 +234,12 @@ def _verify_fail(n: int, what: str, detail: str) -> int:
     return 1
 
 
-def run_verify(max_rows: int) -> int:
+def cmd_verify(args) -> int:
     """Formula-vs-oracle sweep over the puzzle families; stops with a
     counterexample dump on mismatch. Checks its last, largest row's scans first."""
+    max_rows = args.max_rows
+    if max_rows < 1:
+        raise UsageError("max_rows must be >= 1")
     checks = [(f, (f.default_flip, *f.cross_check_flips)) for f in PUZZLES.values()]
     for family, flips in checks:
         _check_scans(family.box(max_rows), family.coin_count(max_rows), flips)
@@ -277,14 +284,8 @@ def run_verify(max_rows: int) -> int:
     return 0
 
 
-def cmd_verify(args, parser) -> int:
-    if args.max_rows < 1:
-        parser.error("max_rows must be >= 1")
-    return run_verify(args.max_rows)
-
-
-def cmd_analyze(args, parser) -> int:
-    label, _, coins, box, flips = _resolve_shape(args, parser, every_flip=True)
+def cmd_analyze(args) -> int:
+    label, _, coins, box, flips = _resolve_shape(args, every_flip=True)
     print(f"shape: {label}")
     print(f"total coins: {len(coins)}")
     print(f"coordinate ranges: a {box.a_lo}..{box.a_hi}, b {box.b_lo}..{box.b_hi}")
@@ -356,26 +357,13 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The coinflip argparse parser, made from COMMANDS, with every
-    subcommand or only `command`.
+def build_parser() -> argparse.ArgumentParser:
+    """The coinflip argparse parser, made from COMMANDS.
 
-    argparse is imported and a parser built only when one must print:
-    main() builds one for a command line that _quick_parse declines (help,
-    an error, or a form the quick path does not read), and a handler's
-    parser.error on the quick path builds one to print the usage line.
-    Configuring a subparser costs far more than parsing with it (each
-    ArgumentParser and add_argument looks up gettext and the terminal
-    size), so main() configures only the subcommand it was given. Any
-    other argv (none, -h, an unknown command) gets the full parser, whose
-    help and error messages list every command.
-
-    A one-command parser pins the subcommand metavar to the full list, so
-    the top-level usage line it prints with an error (an unrecognized
-    argument, or a handler's parser.error) is the one the full parser
-    prints. The full parser keeps the default metavar, because
-    a pinned one would also rename the action in its "invalid choice" and
-    "required" messages.
+    argparse is imported and the parser built only when it must print:
+    main() builds it for a command line that _quick_parse declines (help,
+    a parse error, or a form the quick path does not read), and to print
+    a handler's UsageError or ScanBudgetError with the usage line.
     """
     import argparse  # loaded only for help and errors
 
@@ -383,14 +371,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="coinflip",
         description="Exact solver for flipping coin shapes on the triangular lattice",
     )
-    pinned = {} if command is None else {"metavar": "{" + ",".join(COMMANDS) + "}"}
-    sub = parser.add_subparsers(dest="command", required=True, **pinned)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, arguments, handler) in COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            for names, keywords in arguments:
-                p.add_argument(*names, **keywords)
-            p.set_defaults(func=handler)
+        p = sub.add_parser(name, help=help_text)
+        for names, keywords in arguments:
+            p.add_argument(*names, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -448,19 +434,13 @@ def _quick_parse(argv: list[str]) -> SimpleNamespace | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _quick_parse(argv)
-    if args is None:
-        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-        args = parser.parse_args(argv)
-    else:
-        # a handler's error builds its command's argparse parser to print through
-        parser = SimpleNamespace(error=lambda message: build_parser(args.command).error(message))
+    args = _quick_parse(argv) or build_parser().parse_args(argv)
     try:
-        code = args.func(args, parser)
+        code = args.func(args)
         sys.stdout.flush()
         return code
-    except ScanBudgetError as exc:
-        parser.error(str(exc))
+    except (UsageError, ScanBudgetError) as exc:
+        build_parser().error(str(exc))
     except BrokenPipeError:
         # The reader closed stdout. Send what is still buffered to devnull,
         # so that the flush at exit does not fail again, and exit as a

@@ -382,7 +382,8 @@ def test_a_bad_shape_prints_the_usage_line_and_its_error(capsys, argv, message):
     assert capsys.readouterr() == ("", USAGE + f"coinflip: error: {message}\n")
 
 
-# errors a handler raises after parsing, each through the parser main gave it
+# errors a handler raises after parsing, as UsageError or ScanBudgetError;
+# main prints each through the full parser
 HANDLER_ERRORS = [
     (["table", "triangle", "0"], "max_rows must be >= 1"),
     (["verify", "0"], "max_rows must be >= 1"),
@@ -390,6 +391,13 @@ HANDLER_ERRORS = [
      "placement index 9 out of range; valid indices are 0..0"),
     (["solve", "triangle", "2000"], "the translation scan would take about 1.6e+06 s "
      "(4004001000000 coin pairs), over the budget of 600 s"),
+    # forms the quick path declines, which reach the handler through argparse
+    (["render", "triangle", "4", "--plac", "9"],
+     "placement index 9 out of range; valid indices are 0..0"),
+    (["render", "triangle", "4", "--placement=9"],
+     "placement index 9 out of range; valid indices are 0..0"),
+    (["solve", "--mov", "triangle", "2000"], "the translation scan would take about "
+     "1.6e+06 s (4004001000000 coin pairs), over the budget of 600 s"),
 ]
 
 
@@ -554,8 +562,45 @@ def test_render_svg_places_coins_just_inside_the_bound(capsys, tmp_path):
 
 # ------------------------------------------------------------ parser build
 
-# main() builds only the subcommand it is given; every argv must parse,
-# print and fail exactly as it does with the full parser.
+
+def parse_outcome(parser, argv, capsys):
+    try:
+        namespace = vars(parser.parse_args(argv))
+        code = None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    if namespace is not None:
+        namespace["func"] = namespace["func"].__name__
+    out, err = capsys.readouterr()
+    return code, out, err, namespace
+
+
+def test_main_builds_only_the_invoked_command(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def spy():
+        built.append(real())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    # a valid command line builds no parser
+    assert cli.main(["table", "triangle", "2"]) == 0
+    assert built == []
+    # a handler's error, and a command line argparse must reject, each
+    # build the full parser once
+    for argv in (["render", "triangle", "4", "--placement", "9"], ["sol"]):
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert len(built) == 1
+
+
+# ------------------------------------------------------------- quick parse
+
+# valid argv, every -h and parse errors: the quick path must read each
+# exactly as the full parser does, or decline it.
 PARSER_ARGV = [
     ["solve", "triangle", "4"],
     ["solve", "rhombus", "3", "--flip", "mirror-v", "--moves"],
@@ -583,47 +628,6 @@ PARSER_ARGV = [
     ["--", "solve"],
 ]
 
-
-def parse_outcome(parser, argv, capsys):
-    try:
-        namespace = vars(parser.parse_args(argv))
-        code = None
-    except SystemExit as exc:
-        namespace, code = None, exc.code
-    if namespace is not None:
-        namespace["func"] = namespace["func"].__name__
-    out, err = capsys.readouterr()
-    return code, out, err, namespace
-
-
-@pytest.mark.parametrize("argv", PARSER_ARGV, ids=" ".join)
-def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch, argv):
-    monkeypatch.setenv("COLUMNS", "80")
-    full = parse_outcome(cli.build_parser(), argv, capsys)
-    command = argv[0] if argv and argv[0] in cli.COMMANDS else None
-    assert parse_outcome(cli.build_parser(command), argv, capsys) == full
-
-
-def test_main_builds_only_the_invoked_command(capsys, monkeypatch):
-    built = []
-    real = cli.build_parser
-
-    def spy(command=None):
-        built.append(command)
-        return real(command)
-
-    monkeypatch.setattr(cli, "build_parser", spy)
-    # a valid command line builds no parser; a handler's error builds its
-    # command's own; a command line argparse must reject builds the full one
-    assert cli.main(("table", "triangle", "2")) == 0
-    with pytest.raises(SystemExit):
-        cli.main(["render", "triangle", "4", "--placement", "9"])
-    with pytest.raises(SystemExit):
-        cli.main(["sol"])
-    assert built == ["render", None]
-
-
-# ------------------------------------------------------------- quick parse
 
 # one argv of each op shape the benchmark's puzzle_stream runs
 STREAM_ARGV = [

@@ -1,11 +1,12 @@
 """The family table and the commands driven by it: `table` and `verify`."""
 
 import contextlib
+import math
 import tracemalloc
 
 import pytest
 
-from coinflip import cli, formulas
+from coinflip import cli, formulas, oracle
 from coinflip.lattice import Box, FlipKind
 from coinflip.shapes import FAMILIES, build
 
@@ -55,6 +56,19 @@ def test_puzzle_families_are_the_ones_with_formulas():
     hexagon = FAMILIES["hexagon"]
     assert not hexagon.is_puzzle
     assert hexagon.cross_check_flips == ()
+
+
+@pytest.mark.parametrize("name", list(cli.PUZZLES))
+def test_the_optimal_placements_choose_the_larger_parts(name):
+    # rows - 1 = k*q + r: each optimum makes r of the k parts the larger,
+    # so there is one optimal placement per choice of those r parts
+    family = FAMILIES[name]
+    for rows in range(1, 41):
+        k = len(family.formula("new")(rows).parts)
+        coins = build(name, rows)
+        for flip in (family.default_flip, *family.cross_check_flips):
+            result = oracle.solve(coins, flip)
+            assert len(result.optimal_placements) == math.comb(k, (rows - 1) % k), (rows, flip)
 
 
 # ------------------------------------------------------------------- table
