@@ -19,7 +19,8 @@ of distinct points and their `Grid`, as `scan_pairs` passes them:
   grid packed into the digits of one big integer, and a single CPython
   multiplication yields the exact overlap at every shift of the
   bounding-box correlation grid; equal grids, as under rot180, are
-  squared. Its cost follows the grid size.
+  squared. Its cost follows the grid size, and each cell is sized from
+  the pair count alone (`_cell_bytes`).
 
 Both kernels name a shift (da, db) by one integer key, laid out as `Grid`
 describes: key = (da - a0)·H + (db - b0), where a0 = min_a(S) - max_a(F),
@@ -34,16 +35,16 @@ least key sorts nothing; the layout stays in this module, and callers
 decode a key with `Grid.shift`.
 
 `scan_pairs` runs the kernel that `kernel_for` picks from the grid and
-the pair count: the cheaper one by the cost model (`prefers_product`).
+the pair count: the cheaper one by the cost model.
 Dense shapes such as the triangle and rhombus families have grids far
 smaller than their pair counts; far-flung or sparse shapes do not, and
 stay on the Counter. `kernel_for` refuses, before either kernel
 allocates anything, a scan estimated to take longer than MAX_SCAN_NS, or
 a Counter scan whose keys could need more than MAX_SCAN_BYTES
 (`counter_bytes`). A flip maps a shape's `lattice.Box` hull onto its
-image's (`Box.flip`), so the grid is `box_grid(hull, flip, coins)`, the
-one call with which `oracle.solve` scans and the CLI checks a shape
-before building it.
+image's (`Box.flip`), so the grid is `box_grid(hull, flip)`, the one
+call with which `oracle.solve` scans and the CLI checks a shape before
+building it.
 """
 
 import math
@@ -102,8 +103,7 @@ class Grid(NamedTuple):
     The correlation grid has one row per da, each of `width` cells: cell
     (da - a0)·width + (db - b0) holds the overlap at shift (da, db), where
     a0 = start_a - flipped_a and b0 = start_b - flipped_b. That cell index
-    is the shift's key in both kernels. Each cell is `cell_bytes` wide,
-    enough that no count carries into the next cell.
+    is the shift's key in both kernels.
     """
 
     width: int  # span_b(start) + span_b(flipped) + 1, the H of the key
@@ -113,7 +113,6 @@ class Grid(NamedTuple):
     start_b: int  # min_b(start)
     flipped_a: int  # max_a(flipped)
     flipped_b: int  # max_b(flipped)
-    cell_bytes: int
 
     @property
     def cells(self) -> int:
@@ -125,15 +124,9 @@ class Grid(NamedTuple):
         return (self.start_a - self.flipped_a + da, self.start_b - self.flipped_b + db)
 
 
-def cell_bytes(most: int) -> int:
-    """Bytes per product-grid cell, so that a count up to `most` never
-    carries into the next cell."""
-    return 1 if most < 1 << 8 else 2 if most < 1 << 16 else 4
-
-
-def box_grid(box: Box, flip: FlipKind, count: int) -> Grid:
-    """The shift-key layout of `count` coins with hull `box` against their
-    image under `flip`, whose hull is `box.flip(flip)`."""
+def box_grid(box: Box, flip: FlipKind) -> Grid:
+    """The shift-key layout of a shape with hull `box` against its image
+    under `flip`, whose hull is `box.flip(flip)`."""
     image = box.flip(flip)
     return Grid(
         width=box.b_hi - box.b_lo + image.b_hi - image.b_lo + 1,
@@ -143,13 +136,20 @@ def box_grid(box: Box, flip: FlipKind, count: int) -> Grid:
         start_b=box.b_lo,
         flipped_a=image.a_hi,
         flipped_b=image.b_hi,
-        cell_bytes=cell_bytes(count),
     )
 
 
-def _product_ns(grid: Grid) -> float:
+def _cell_bytes(pairs: int) -> int:
+    """Bytes per product-grid cell for a scan of `pairs` point pairs. A cell
+    counts at most min(|S|, |F|) <= isqrt(pairs) of them, so no count
+    carries into the next cell."""
+    most = math.isqrt(pairs)
+    return 1 if most < 1 << 8 else 2 if most < 1 << 16 else 4
+
+
+def _product_ns(grid: Grid, pairs: int) -> float:
     """Estimated product-kernel time; infinite beyond MAX_GRID_BYTES."""
-    grid_bytes = grid.cells * grid.cell_bytes
+    grid_bytes = grid.cells * _cell_bytes(pairs)
     if grid_bytes > MAX_GRID_BYTES:
         return math.inf
     return (
@@ -158,15 +158,9 @@ def _product_ns(grid: Grid) -> float:
     )
 
 
-def prefers_product(grid: Grid, pairs: int) -> bool:
-    """True when the product kernel is estimated cheaper than the Counter
-    on `pairs` point pairs, and its grid fits within MAX_GRID_BYTES."""
-    return _product_ns(grid) <= _NS_PER_PAIR * pairs
-
-
 def estimate_ns(grid: Grid, pairs: int) -> float:
     """Estimated time of the kernel kernel_for picks: the cheaper one."""
-    return min(_product_ns(grid), _NS_PER_PAIR * pairs)
+    return min(_product_ns(grid, pairs), _NS_PER_PAIR * pairs)
 
 
 def counter_bytes(grid: Grid, pairs: int) -> int:
@@ -274,7 +268,7 @@ def product_scan(start, flipped, grid: Grid):
     product is a square, which CPython computes faster than a product of
     two different integers.
     """
-    nb, width = grid.cell_bytes, grid.width
+    nb, width = _cell_bytes(len(start) * len(flipped)), grid.width
     s = bytearray(nb * width * grid.start_rows)
     for a, b in start:
         s[nb * ((a - grid.start_a) * width + b - grid.start_b)] = 1
@@ -300,7 +294,7 @@ def product_scan(start, flipped, grid: Grid):
 
 def kernel_for(grid: Grid, pairs: int):
     """The kernel to scan `pairs` point pairs laid out as `grid`:
-    product_scan when `prefers_product`, else counter_scan.
+    product_scan when its estimate is at most the Counter's, else counter_scan.
 
     Raises ScanBudgetError when `estimate_ns` is over MAX_SCAN_NS or, for
     the Counter, `counter_bytes` is over MAX_SCAN_BYTES. Time is checked
@@ -310,7 +304,7 @@ def kernel_for(grid: Grid, pairs: int):
     cost = estimate_ns(grid, pairs)
     if cost > MAX_SCAN_NS:
         raise ScanBudgetError(cost, pairs)
-    if prefers_product(grid, pairs):
+    if _product_ns(grid, pairs) <= cost:
         return product_scan
     memory = counter_bytes(grid, pairs)
     if memory > MAX_SCAN_BYTES:

@@ -100,7 +100,7 @@ def format_table_markdown(header: tuple[str, ...], rows: Iterable[list[str]]) ->
 def _check_scans(box: Box, count: int, flips):
     """Raise ScanBudgetError if kernel_for refuses any flip's scan of `count` coins in `box`."""
     for flip in flips:
-        kernel_for(box_grid(box, flip, count), count * count)
+        kernel_for(box_grid(box, flip), count * count)
 
 
 def _resolve_shape(args, every_flip=False):

@@ -185,12 +185,12 @@ def solve(start, flip: FlipKind) -> OverlapResult:
     Every translation achieving any overlap at all is evaluated, so the
     reported maximum is exact and optimal_placements holds all maximizing
     shifts in ascending (da, db) order, as a lazy read-only sequence.
-    The scan's grid is `_scan.box_grid(Box.of(start), flip, len(start))`.
+    The scan's grid is `_scan.box_grid(Box.of(start), flip)`.
     """
     start = as_coin_set(start)
     if not start:
         raise ValueError("cannot solve an empty coin set")
-    grid = _scan.box_grid(Box.of(start), flip, len(start))
+    grid = _scan.box_grid(Box.of(start), flip)
     best, keys = _scan.scan_pairs(start, flip_points(start, flip), grid)
     return OverlapResult(
         total_coins=len(start),

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coinflip import _scan, cli
-from coinflip._scan import BAND_PAIRS, Grid, box_grid, cell_bytes, counter_scan
+from coinflip._scan import BAND_PAIRS, Grid, box_grid, counter_scan
 from coinflip.lattice import Box, FlipKind, flip_points
 from coinflip.shapes import triangle_up
 
@@ -50,7 +50,6 @@ def hull_grid(start, flipped):
         start_b=s.b_lo,
         flipped_a=f.a_hi,
         flipped_b=f.b_hi,
-        cell_bytes=cell_bytes(min(len(start), len(flipped))),
     )
 
 
@@ -110,7 +109,7 @@ def test_a_default_scan_over_band_pairs():
     start = far_flung(300, 5)
     flipped = flip_points(start, FlipKind.MIRROR_HORIZONTAL)
     assert len(start) * len(flipped) > BAND_PAIRS  # 90,000 pairs: two bands
-    grid = box_grid(Box.of(start), FlipKind.MIRROR_HORIZONTAL, len(start))
+    grid = box_grid(Box.of(start), FlipKind.MIRROR_HORIZONTAL)
     assert grid == hull_grid(start, flipped)
     assert decoded(start, flipped, grid) == tuple_counter(start, flipped)
 
@@ -133,7 +132,7 @@ def test_the_counter_holds_one_band_at_a_time():
     start = symmetric_far_flung(300, 11)
     flipped = flip_points(start, FlipKind.ROTATE_180)
     assert len(start) ** 2 > 5 * BAND_PAIRS
-    grid = box_grid(Box.of(start), FlipKind.ROTATE_180, len(start))
+    grid = box_grid(Box.of(start), FlipKind.ROTATE_180)
     tracemalloc.start()
     try:
         best, keys = counter_scan(start, flipped, grid)

@@ -6,6 +6,7 @@ anywhere near the budget. The CLI refusals replace both kernels with
 stubs that fail, so a broken guard fails the test instead of scanning.
 """
 
+import math
 import random
 import tracemalloc
 from unittest.mock import patch
@@ -23,7 +24,8 @@ from coinflip._scan import (
     counter_bytes,
     counter_scan,
     estimate_ns,
-    prefers_product,
+    kernel_for,
+    product_scan,
     scan_pairs,
 )
 from coinflip.lattice import Box, FlipKind, flip_points
@@ -34,15 +36,14 @@ from coinflip.shapes import FAMILIES, build, hexagon, rhombus, triangle_up
 def triangle_grid(n):
     """The Grid of triangle_up(n) against its half-turn, without the coins."""
     coins = n * (n + 1) // 2
-    cell_bytes = 1 if coins < 1 << 8 else 2 if coins < 1 << 16 else 4
-    return Grid(2 * n - 1, n, n, 0, 0, 0, 0, cell_bytes=cell_bytes), coins**2
+    return Grid(2 * n - 1, n, n, 0, 0, 0, 0), coins**2
 
 
 def test_triangle_grid_matches_box_grid():
     for n in (1, 4, 23, 40):
         start = triangle_up(n)
         grid, pairs = triangle_grid(n)
-        assert box_grid(Box.of(start), FlipKind.ROTATE_180, len(start)) == grid
+        assert box_grid(Box.of(start), FlipKind.ROTATE_180) == grid
         assert pairs == len(start) ** 2
     # the CLI's pre-build check reads every family's box and coin count
     for name, family in FAMILIES.items():
@@ -58,7 +59,7 @@ def test_solve_scans_the_grid_the_cli_checks():
             coins = build(name, n)
             for flip in FlipKind:
                 grid = solve(coins, flip).optimal_placements.grid
-                assert grid == box_grid(family.box(n), flip, family.coin_count(n))
+                assert grid == box_grid(family.box(n), flip)
 
 
 def test_solve_takes_one_hull_per_call():
@@ -73,18 +74,19 @@ def test_solve_takes_one_hull_per_call():
 def test_dense_fall_off_starts_at_1025_rows():
     below, pairs_below = triangle_grid(1024)
     above, pairs_above = triangle_grid(1025)
-    assert below.cells * below.cell_bytes <= MAX_GRID_BYTES < above.cells * above.cell_bytes
+    below_bytes = below.cells * _scan._cell_bytes(pairs_below)
+    assert below_bytes <= MAX_GRID_BYTES < above.cells * _scan._cell_bytes(pairs_above)
     # the product kernel at the byte cap stays within the budget...
-    assert prefers_product(below, pairs_below)
+    assert kernel_for(below, pairs_below) is product_scan
     assert estimate_ns(below, pairs_below) < MAX_SCAN_NS / 5
     # ...and one row more falls to a Counter of 2.76e11 pairs
-    assert not prefers_product(above, pairs_above)
+    assert _scan._product_ns(above, pairs_above) == math.inf
     assert estimate_ns(above, pairs_above) > 100 * MAX_SCAN_NS
 
 
 def test_large_sparse_shapes_are_over_budget():
     # 100k far-flung coins: a byte-capped grid, so the Counter's 10^10 pairs
-    far = Grid(2**41, 2**41, 2**41, 0, 0, 0, 0, cell_bytes=4)
+    far = Grid(2**41, 2**41, 2**41, 0, 0, 0, 0)
     assert estimate_ns(far, 100_000**2) > 5 * MAX_SCAN_NS
     assert estimate_ns(far, 1_000**2) < MAX_SCAN_NS / 1000
 
@@ -92,9 +94,9 @@ def test_large_sparse_shapes_are_over_budget():
 def test_tested_and_benchmarked_inputs_are_far_below_the_budget():
     # the largest shapes that tier-1 and the benchmark scan
     for shape in (triangle_up(40), rhombus(40), hexagon(7)):
-        grid = box_grid(Box.of(shape), FlipKind.ROTATE_180, len(shape))
+        grid = box_grid(Box.of(shape), FlipKind.ROTATE_180)
         assert estimate_ns(grid, len(shape) ** 2) < MAX_SCAN_NS / 10_000
-    far = Grid(2**41, 2**41, 2**41, 0, 0, 0, 0, cell_bytes=2)
+    far = Grid(2**41, 2**41, 2**41, 0, 0, 0, 0)
     assert estimate_ns(far, 600**2) < MAX_SCAN_NS / 1000  # sparse_custom's 2^40 shape
 
 
@@ -109,7 +111,7 @@ def refuse_to_scan(monkeypatch):
 def test_scan_pairs_refuses_before_either_kernel_runs(monkeypatch):
     start = [(a, 0) for a in range(10)]
     flipped = flip_points(start, FlipKind.ROTATE_180)
-    grid = box_grid(Box.of(start), FlipKind.ROTATE_180, len(start))
+    grid = box_grid(Box.of(start), FlipKind.ROTATE_180)
     assert scan_pairs(start, flipped, grid)[0] == 10
     cost = estimate_ns(grid, 100)
     monkeypatch.setattr(_scan, "MAX_SCAN_NS", cost / 2)
@@ -142,27 +144,32 @@ def test_cli_refuses_an_over_budget_scan(capsys, monkeypatch, tmp_path):
 def test_large_far_flung_shapes_are_over_the_memory_cap():
     # 38,000 far-flung coins pass the time budget, but the Counter could
     # hold one key per pair: 1.4e9 keys
-    far = Grid(2**41, 2**41, 2**41, 0, 0, 0, 0, cell_bytes=2)
+    far = Grid(2**41, 2**41, 2**41, 0, 0, 0, 0)
     pairs = 38_000**2
     assert estimate_ns(far, pairs) < MAX_SCAN_NS
     assert counter_bytes(far, pairs) > 50 * MAX_SCAN_BYTES
 
 
 def test_the_memory_cap_refuses_nothing_the_product_accepts():
-    # the product's largest grids, at each cell width
-    for cell_bytes in (1, 2, 4):
-        grid = Grid(MAX_GRID_BYTES // cell_bytes, 1, 1, 0, 0, 0, 0, cell_bytes=cell_bytes)
-        assert prefers_product(grid, 10**15)
+    # the product's largest grids, at each cell width, with a pair count
+    # that sets the width; below 256 coins the Counter is the cheaper
+    # kernel, and holds at most 65,025 keys
+    for pairs, cell_bytes in ((255**2, 1), (65535**2, 2), (10**15, 4)):
+        assert _scan._cell_bytes(pairs) == cell_bytes
+        grid = Grid(MAX_GRID_BYTES // cell_bytes, 1, 1, 0, 0, 0, 0)
+        assert _scan._product_ns(grid, pairs) < math.inf
+        kernel = counter_scan if cell_bytes == 1 else product_scan
+        assert kernel_for(grid, pairs) is kernel
 
 
 def test_tested_and_benchmarked_scans_are_far_below_the_memory_cap():
     for shape in (triangle_up(40), rhombus(40), hexagon(7)):
-        grid = box_grid(Box.of(shape), FlipKind.ROTATE_180, len(shape))
+        grid = box_grid(Box.of(shape), FlipKind.ROTATE_180)
         assert 40 * counter_bytes(grid, len(shape) ** 2) < MAX_SCAN_BYTES
     # sparse_custom's 600 coins within 2^40 and 250 coins within 2^13
-    far = Grid(2**41, 2**41, 2**41, 0, 0, 0, 0, cell_bytes=2)
+    far = Grid(2**41, 2**41, 2**41, 0, 0, 0, 0)
     assert 40 * counter_bytes(far, 600**2) < MAX_SCAN_BYTES
-    square = Grid(2**14, 2**13, 2**13, 0, 0, 0, 0, cell_bytes=1)
+    square = Grid(2**14, 2**13, 2**13, 0, 0, 0, 0)
     assert 40 * counter_bytes(square, 250**2) < MAX_SCAN_BYTES
 
 
@@ -172,7 +179,7 @@ def test_the_estimate_bounds_a_one_band_scan():
     start = sorted({(rng.randrange(1 << 40), rng.randrange(1 << 40)) for _ in range(300)})
     flipped = flip_points(start, FlipKind.MIRROR_HORIZONTAL)
     pairs = len(start) * len(flipped)
-    grid = box_grid(Box.of(start), FlipKind.MIRROR_HORIZONTAL, len(start))
+    grid = box_grid(Box.of(start), FlipKind.MIRROR_HORIZONTAL)
     with patch.object(_scan, "BAND_PAIRS", pairs):
         tracemalloc.start()
         try:
@@ -188,8 +195,8 @@ def test_the_estimate_bounds_a_one_band_scan():
 def test_scan_pairs_refuses_the_counter_before_it_runs(monkeypatch):
     start = [(a << 30, 0) for a in range(10)]
     flipped = flip_points(start, FlipKind.ROTATE_180)
-    grid = box_grid(Box.of(start), FlipKind.ROTATE_180, len(start))
-    assert not prefers_product(grid, 100)
+    grid = box_grid(Box.of(start), FlipKind.ROTATE_180)
+    assert kernel_for(grid, 100) is counter_scan
     assert scan_pairs(start, flipped, grid)[0] == 10
     memory = counter_bytes(grid, 100)
     monkeypatch.setattr(_scan, "MAX_SCAN_BYTES", memory - 1)

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from unittest.mock import patch
@@ -11,7 +12,7 @@ from coinflip._scan import (
     Grid,
     box_grid,
     counter_scan,
-    prefers_product,
+    kernel_for,
     product_scan,
     scan_pairs,
 )
@@ -26,7 +27,8 @@ from coinflip.oracle import (
     solve,
     target_set,
 )
-from coinflip.shapes import hexagon, rhombus, triangle_up
+from coinflip.shapes import FAMILIES, hexagon, rhombus, triangle_up
+from test_bands import hull_grid
 
 point_sets = st.frozensets(
     st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
@@ -180,7 +182,7 @@ def scan_inputs(shape, flip):
     """The shape's sorted coins, their sorted image under `flip`, and the
     grid that solve() scans them on."""
     start = sorted(shape)
-    return start, sorted(flip_points(start, flip)), box_grid(Box.of(start), flip, len(start))
+    return start, sorted(flip_points(start, flip)), box_grid(Box.of(start), flip)
 
 
 def in_order(scan):
@@ -224,13 +226,25 @@ def line(n):
         (line(256), 2),
         (rhombus(16) - {(0, 0)}, 1),  # 255 coins
         (rhombus(16), 2),  # 256 coins
+        # two unequal sets on their own hulls, the only scans in which
+        # isqrt(pairs) exceeds min(|S|, |F|), the most a cell counts
+        ((sorted(line(255)), sorted(line(257))), 1),
+        ((sorted(line(256)), sorted(line(300))), 2),
     ],
 )
 def test_kernels_agree_at_the_cell_width_boundary(shape, cell_bytes):
-    for flip in FlipKind:
-        start, flipped, grid = scan_inputs(shape, flip)
-        assert grid.cell_bytes == cell_bytes
+    if isinstance(shape, tuple):
+        scans = [(*shape, hull_grid(*shape))]
+    else:
+        scans = [scan_inputs(shape, flip) for flip in FlipKind]
+    for start, flipped, grid in scans:
+        assert _scan._cell_bytes(len(start) * len(flipped)) == cell_bytes
         assert_kernels_agree(start, flipped, grid)
+
+
+def test_the_cell_width_follows_the_pair_count():
+    widths = [_scan._cell_bytes(n**2) for n in (255, 256, 65535, 65536)]
+    assert widths == [1, 2, 2, 4]
 
 
 def scatter(coins, side, seed):
@@ -251,23 +265,54 @@ def scatter(coins, side, seed):
 )
 def test_sparse_shapes_stay_on_the_counter(shape):
     start, _, grid = scan_inputs(shape, FlipKind.ROTATE_180)
-    assert not prefers_product(grid, len(start) ** 2)
+    assert kernel_for(grid, len(start) ** 2) is counter_scan
 
 
 def test_byte_cap_bounds_the_grid():
     # a dense 2-byte grid just over and just under MAX_GRID_BYTES, with so
     # many pairs that only the cap can turn the product down
+    pairs = 65535**2
+    assert _scan._cell_bytes(pairs) == 2
     cells_at_cap = MAX_GRID_BYTES // 2
-    over = Grid(cells_at_cap + 1, 1, 1, 0, 0, 0, 0, cell_bytes=2)
+    over = Grid(cells_at_cap + 1, 1, 1, 0, 0, 0, 0)
     under = over._replace(width=cells_at_cap)
-    assert not prefers_product(over, 10**15)
-    assert prefers_product(under, 10**15)
+    assert _scan._product_ns(over, pairs) == math.inf
+    assert kernel_for(under, pairs) is product_scan
 
 
 def test_dense_shapes_take_the_product():
     for shape in (triangle_up(14), rhombus(40), hexagon(7), triangle_up(160)):
         start, _, grid = scan_inputs(shape, FlipKind.ROTATE_180)
-        assert prefers_product(grid, len(start) ** 2)
+        assert kernel_for(grid, len(start) ** 2) is product_scan
+    # every family size the benchmark solves (up to 14 rows, hexagon 7) and
+    # tier-1's largest, under every flip, read from the box and coin count
+    for name, sizes in (("triangle", (*range(1, 15), 40)),
+                        ("rhombus", (*range(1, 15), 40)),
+                        ("hexagon", (*range(1, 8), 20))):
+        family = FAMILIES[name]
+        for n in sizes:
+            for flip in FlipKind:
+                grid = box_grid(family.box(n), flip)
+                kernel = kernel_for(grid, family.coin_count(n) ** 2)
+                assert kernel is product_scan, (name, n, flip)
+
+
+def test_the_kernel_that_ran_follows_from_the_result():
+    # kernel_for on the result's grid and pair count names the kernel that
+    # solve ran, so a report can say which one it was
+    ran = Counter()
+    for shape in (*corpus(), scatter(40, 2**40, 7)):
+        for flip in FlipKind:
+            with (
+                patch.object(_scan, "product_scan", wraps=product_scan) as product,
+                patch.object(_scan, "counter_scan", wraps=counter_scan) as counter,
+            ):
+                result = solve(shape, flip)
+            calls = {product_scan: product.call_count, counter_scan: counter.call_count}
+            kernel = kernel_for(result.optimal_placements.grid, result.total_coins**2)
+            assert calls[kernel] == 1 and sum(calls.values()) == 1
+            ran[kernel] += 1
+    assert ran[product_scan] and ran[counter_scan]
 
 
 # Coordinates up to 2^40 in size, mixed with small ones so that some
@@ -345,7 +390,7 @@ def check_against_a_tuple_counter(points, flip, data):
     assert not accepts(points, Placement(other, expected[0]), result)
 
     # both kernels agree wherever the product's grid is small enough to build
-    if grid.cells * grid.cell_bytes <= 1 << 16:
+    if grid.cells * _scan._cell_bytes(len(start) * len(flipped)) <= 1 << 16:
         assert_kernels_agree(start, flipped, grid)
 
 
@@ -522,7 +567,7 @@ def test_results_compare_and_hash_by_value():
 UNSORTED_KEYS = [30, 4, 17, 0, 52, 9, 41]
 KEY_GRID = Grid(
     width=7, start_rows=5, flipped_rows=5,
-    start_a=0, start_b=0, flipped_a=0, flipped_b=0, cell_bytes=1,
+    start_a=0, start_b=0, flipped_a=0, flipped_b=0,
 )
 
 
