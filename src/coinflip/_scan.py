@@ -5,16 +5,17 @@ of point pairs (s, f) with s = f + t. Any translation outside the
 difference set s - f has overlap 0, and for nonempty inputs some
 translation reaches overlap >= 1, so the maximum over the difference set
 is the maximum over all translations. Two pure-Python kernels compute it
-exactly and return identical results. Each takes two nonempty collections
-of distinct points and their `Grid`, as `scan_pairs` passes them:
+exactly and return the same overlap and the same tied keys. Each takes
+two nonempty collections of distinct points and their `Grid`, as
+`scan_pairs` passes them:
 
 - `counter_scan`, the reference kernel: Counters over the differences of
   all |S|·|F| pairs, one ascending band of shift keys at a time, so that
-  it holds one band's counts plus the tied keys found so far. Its cost
-  follows the pair count alone. When the image is a translate of the
-  shape's point reflection, as under rot180 always, the start and
-  flipped keys are equal, and it counts each of the |S|(|S| - 1)/2
-  unordered pairs once.
+  it holds one band's counts plus the tied keys found so far, and no tie
+  list at all when every pair ties. Its cost follows the pair count
+  alone. When the image is a translate of the shape's point reflection,
+  as under rot180 always, the start and flipped keys are equal, and it
+  counts each of the |S|(|S| - 1)/2 unordered pairs once.
 - `product_scan`: Kronecker substitution. Each point set becomes a 0/1
   grid packed into the digits of one big integer, and a single CPython
   multiplication yields the exact overlap at every shift of the
@@ -29,10 +30,12 @@ b0 = min_b(S) - max_b(F) and H = span_b(S) + span_b(F) + 1. Since
 has key (a - min_a S)·H + (b - min_b S), a flipped point
 (max_a F - a)·H + (max_b F - b), and a pair's key is the sum of the two.
 The product kernel's grid is this layout itself, one row of H cells per
-a, so a cell's index is its key. Both kernels return each tied key
-once, in any order, so that a caller that reads only the count or the
-least key sorts nothing; the layout stays in this module, and callers
-decode a key with `Grid.shift`.
+a, so a cell's index is its key. Both kernels return the tied keys as a
+sized iterable, each key once, in any order: `product_scan` a list, and
+`counter_scan` a list or, when every pair ties, a `PairKeys` that
+regenerates them from the point keys. So a caller that reads only the
+count or the least key sorts nothing. The layout stays in this module,
+and callers decode a key with `Grid.shift`.
 
 `scan_pairs` runs the kernel that `kernel_for` picks from the grid and
 the pair count: the cheaper one by the cost model.
@@ -168,8 +171,13 @@ def counter_bytes(grid: Grid, pairs: int) -> int:
 
     A scan holds at most min(pairs, grid.cells) distinct keys, each no
     larger than grid.cells. Banding usually keeps far fewer alive at once
-    (see counter_scan), but a shape whose pairs crowd into one band, or
-    whose every key ties, holds them all.
+    (see counter_scan), but a shape whose pairs crowd into one band holds
+    them all in one Counter. A scan in which every key ties no longer
+    lists them as well (it returns `PairKeys`), but that does not lower
+    the bound: a one-band scan peaks while its Counter's table grows,
+    before any tie is listed. 300 coins at 2^40 in one band peak at
+    10.87 MiB against an estimate of 11.33 MiB (tracemalloc, CPython
+    3.11), with or without the tie list.
     """
     key_bytes = _COUNTER_BYTES_PER_KEY + sys.getsizeof(grid.cells)
     return min(pairs, grid.cells) * key_bytes
@@ -189,6 +197,37 @@ class ScanBudgetError(ValueError):
             cost = f"need about {estimate_bytes / 2**30:.3g} GiB of memory"
             cap = f"the cap of {MAX_SCAN_BYTES / 2**30:.3g} GiB"
         super().__init__(f"the translation scan would {cost} ({pairs} coin pairs), over {cap}")
+
+
+class PairKeys:
+    """Every pair key of the sorted start keys `ks` and flipped keys `kfs`,
+    each once: |S|·|F| sums, or for a half count (`ks == kfs`) the
+    |S|(|S| - 1)/2 sums of two different start keys. counter_scan returns
+    it in place of a list when every pair ties.
+
+    It holds only the two key lists. `len` and `least` are O(1); iteration
+    regenerates the keys row by row, one flipped key at a time, in no
+    particular order.
+    """
+
+    __slots__ = ("ks", "kfs", "half")
+
+    def __init__(self, ks: list[int], kfs: list[int], half: bool):
+        self.ks, self.kfs, self.half = ks, kfs, half
+
+    def __len__(self) -> int:
+        n = len(self.ks)
+        return n * (n - 1) // 2 if self.half else n * len(self.kfs)
+
+    @property
+    def least(self) -> int:
+        """The least key: ks[0] + kfs[0], or ks[0] + ks[1] for a half count."""
+        return self.ks[0] + (self.ks[1] if self.half else self.kfs[0])
+
+    def __iter__(self):
+        ks, half = self.ks, self.half
+        for i, kf in enumerate(self.kfs, 1):
+            yield from map(kf.__add__, ks[i:] if half else ks)
 
 
 def counter_scan(start, flipped, grid: Grid):
@@ -220,13 +259,25 @@ def counter_scan(start, flipped, grid: Grid):
     diagonal keys counted top times, when there are any; otherwise it is
     top, or 2·top for a half count, tied by the keys counted top times.
     A running best keeps the tied keys: a band's ties are appended when
-    they equal the best and replace the list when they beat it. Each
-    tied key comes out once, in no particular order.
+    they equal the best and replace the list when they beat it.
 
-    Memory is one band's distinct keys plus the ties, where a Counter of
-    every pair would hold all the distinct keys at once. Bands split key
-    space, not pairs: a shape whose pairs crowd into one band still holds
-    them all, as does a scan in which every key ties (see counter_bytes).
+    A band whose Counter holds as many keys as it counted pairs counted
+    each key once, so its top is 1 (0 when empty), read without a pass
+    over the counts. Unless a centre is hit, its best is 1, or 2 for a
+    half count, and any band with a repeated key or a centre hit beats
+    that. So it lists no ties: if the scan ends at that best, every band
+    was such a band, every counted pair ties and each key is distinct,
+    and the scan returns them as one `PairKeys`. Otherwise the ties are a
+    list. Either way each tied key comes out once, in no particular
+    order.
+
+    Memory is one band's distinct keys plus the listed ties, where a
+    Counter of every pair would hold all the distinct keys at once. On a
+    600-coin scatter over ±2^40 under mirror-h, where all 360,000 pairs
+    tie, the scan peaks at 10.9 MiB and its result holds 0.05 MiB; a
+    list of the ties peaked at 20.0 MiB and held 16.8 MiB (tracemalloc,
+    CPython 3.11). Bands split key space, not pairs: a shape whose pairs
+    crowd into one band still holds them all (see counter_bytes).
     """
     width = grid.width
     ks = sorted((a - grid.start_a) * width + b - grid.start_b for a, b in start)
@@ -238,22 +289,27 @@ def counter_scan(start, flipped, grid: Grid):
     best, keys = 0, []
     for lo in range(first, end, step):
         hi = lo + step
-        counts = Counter()
+        counts, pairs = Counter(), 0
         for i, kf in enumerate(kfs, 1):
             j = i if half else 0  # a half count pairs kf with the keys after it
             row = ks[bisect_left(ks, lo - kf, j) : bisect_left(ks, hi - kf, j)]
+            pairs += len(row)
             counts.update(map(kf.__add__, row))
         centres = ks[bisect_left(ks, -(-lo // 2)) : bisect_left(ks, -(-hi // 2))] if half else []
-        top = max(counts.values(), default=0)
+        distinct = len(counts) == pairs  # each of the band's keys counted once
+        top = min(pairs, 1) if distinct else max(counts.values())
         odd = [2 * x for x in centres if counts[2 * x] == top]
         if odd:
             top, ties = 2 * top + 1, odd
         else:
-            top, ties = (1 + half) * top, list(compress(counts, map(top.__eq__, counts.values())))
+            ties = [] if distinct else list(compress(counts, map(top.__eq__, counts.values())))
+            top *= 1 + half
         if top > best:
             best, keys = top, ties
         elif top == best:
             keys += ties
+    if best == 1 + half:  # only bands of distinct keys reach it: every pair ties
+        return best, PairKeys(ks, kfs, half)
     return best, keys
 
 
@@ -317,7 +373,8 @@ def scan_pairs(start, flipped, grid: Grid):
 
     Both point arguments are nonempty collections of distinct (a, b)
     pairs, laid out as `grid` (`box_grid`). Returns (max_overlap, keys):
-    each tied key once, in any order, for `grid.shift` to decode.
+    a sized iterable of the tied keys, each once, in any order, for
+    `grid.shift` to decode.
     `kernel_for` picks the kernel, or refuses the scan before either
     allocates (ScanBudgetError).
     """

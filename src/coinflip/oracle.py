@@ -14,12 +14,15 @@ bounding boxes picks between them per call.
 
 Both kernels name each shift by one integer key, and ascending keys are
 ascending (da, db). A far-flung shape can tie hundreds of thousands of
-shifts, so solve() keeps the keys, in the order the scan found them,
-with the scan's `_scan.Grid`. `Placements` decodes a placement through
-that grid (`Grid.shift`) only when it is read, and sorts the keys only
-when a read needs their order: the count and the first placement, all
-that `analyze` and `solve` read, need none. The key layout stays in
-`_scan`.
+shifts, so solve() keeps the keys as the scan returned them, with the
+scan's `_scan.Grid`: a list in the order the scan found them or, when
+every coin pair ties, a `_scan.PairKeys` that holds only the coins' own
+keys. `Placements` decodes a placement through that grid (`Grid.shift`)
+only when it is read, and sorts the keys, listing a `PairKeys` first,
+only when a read needs their order: the count and the first placement,
+all that `analyze` and `solve` read, need none, and a rejected
+placement lists the five least shifts without it. The key layout stays
+in `_scan`.
 
 Both kernels are exact, so a placement under the solved flip is optimal
 exactly when it moves min_moves coins; protrusions() and move_plan()
@@ -35,7 +38,6 @@ tuple.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import islice
 from operator import eq
 from typing import NamedTuple, Optional
 
@@ -68,20 +70,23 @@ class Placement(NamedTuple):
 
 class Placements(Sequence):
     """Read-only sequence of the optimal placements of one flip, ascending
-    by shift. It holds the scan's tie keys, in any order, and each
-    Placement is decoded through `grid` when it is read.
+    by shift. It holds the scan's tie keys as the scan returned them, a
+    list in any order or a `_scan.PairKeys`, and each Placement is
+    decoded through `grid` when it is read.
 
-    `len` and `[0]` (the least key) leave the keys as they are; every
-    other read (`keys`, any other index, iteration, `in`, slicing, ==,
-    hash and repr) first sorts them in place, once. A slice is another
-    Placements that keeps its own order (descending under a negative
-    step). Compares equal to a tuple of the same placements, and hashes
-    like one. It can be weakly referenced, so that a caller can check
-    that the tie keys it holds have been freed."""
+    `len` and `[0]` (the least key) leave the keys as they are, and
+    never iterate a `PairKeys`; every other read (`keys`, any other
+    index, iteration, `in`, slicing, ==, hash and repr) first sorts them,
+    once: a list in place, a `PairKeys` into a list that replaces it.
+    A slice is another Placements that keeps its own order (descending
+    under a negative step). Compares equal to a tuple of the same
+    placements, and hashes like one. It can be weakly referenced, so
+    that a caller can check that the tie keys it holds have been
+    freed."""
 
     __slots__ = ("flip", "grid", "_keys", "_ordered", "__weakref__")
 
-    def __init__(self, flip: FlipKind, keys: list[int], grid: _scan.Grid):
+    def __init__(self, flip: FlipKind, keys: list[int] | _scan.PairKeys, grid: _scan.Grid):
         self.flip, self.grid = flip, grid
         self._keys, self._ordered = keys, False
 
@@ -89,7 +94,10 @@ class Placements(Sequence):
     def keys(self) -> list[int]:
         """The tie keys, in the order the placements are read."""
         if not self._ordered:
-            self._keys.sort()
+            if isinstance(self._keys, list):
+                self._keys.sort()
+            else:
+                self._keys = sorted(self._keys)
             self._ordered = True
         return self._keys
 
@@ -102,7 +110,8 @@ class Placements(Sequence):
             part._ordered = True
             return part
         if i == 0 and not self._ordered and self._keys:
-            key = min(self._keys)
+            keys = self._keys
+            key = keys.least if isinstance(keys, _scan.PairKeys) else min(keys)
         else:
             key = self.keys[i]
         return Placement(self.flip, self.grid.shift(key))
@@ -218,7 +227,10 @@ def _optimal_sets(start, placement, result):
     target = target_set(start, placement)
     source = start - target
     if len(source) != result.min_moves:
-        shown = ", ".join(str(p.shift) for p in islice(optimal, _SHIFTS_SHOWN))
+        import heapq  # loaded only to reject a placement
+
+        least = heapq.nsmallest(_SHIFTS_SHOWN, optimal._keys)
+        shown = ", ".join(str(optimal.grid.shift(key)) for key in least)
         if len(optimal) > _SHIFTS_SHOWN:
             shown += ", ..."
         raise ValueError(

@@ -10,6 +10,7 @@ from coinflip import _scan
 from coinflip._scan import (
     MAX_GRID_BYTES,
     Grid,
+    PairKeys,
     box_grid,
     counter_scan,
     kernel_for,
@@ -501,15 +502,20 @@ def test_nonoptimal_placement_is_rejected():
 def test_far_flung_rejection_lists_few_shifts():
     start = scatter(120, 2**40, 11)
     result = solve(start, FlipKind.MIRROR_HORIZONTAL)
-    assert len(result.optimal_placements) == 120 * 120
+    placements = result.optimal_placements
+    assert len(placements) == 120 * 120
     bad = Placement(FlipKind.MIRROR_HORIZONTAL, (2**50, 0))
     with pytest.raises(ValueError, match="not optimal") as exc:
         move_plan(start, bad, result=result)
+    # the rejection neither listed nor sorted the 14,400 tied keys
+    assert isinstance(placements._keys, PairKeys) and not placements._ordered
     message = str(exc.value)
     assert "the 14400 optimal shifts" in message
-    assert str(result.optimal_placements[4].shift) in message
-    assert str(result.optimal_placements[5].shift) not in message
+    assert str(placements[4].shift) in message
+    assert str(placements[5].shift) not in message
     assert len(message) < 400
+    shown = ", ".join(str(p.shift) for p in placements[:5])
+    assert message == f"placement {bad} is not optimal; the 14400 optimal shifts are [{shown}, ...]"
 
 
 @given(point_sets, st.sampled_from(list(FlipKind)), st.data())
@@ -564,7 +570,7 @@ def test_results_compare_and_hash_by_value():
     assert a != solve(triangle_up(5), FlipKind.MIRROR_VERTICAL)
 
 
-UNSORTED_KEYS = [30, 4, 17, 0, 52, 9, 41]
+UNSORTED_KEYS = [30, 6, 33, 3, 36, 9]
 KEY_GRID = Grid(
     width=7, start_rows=5, flipped_rows=5,
     start_a=0, start_b=0, flipped_a=0, flipped_b=0,
@@ -578,6 +584,32 @@ def unsorted_placements():
     return Placements(FlipKind.MIRROR_VERTICAL, keys, KEY_GRID), keys
 
 
+class CountedPairKeys(PairKeys):
+    """A PairKeys that counts how often it is iterated."""
+
+    __slots__ = ("iterations",)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def all_pairs_placements():
+    """Placements over UNSORTED_KEYS in the form counter_scan returns when
+    every pair ties, each with the PairKeys it holds: a full count (0 and
+    27 against 3, 6 and 9) and a half count (the pairs of 0, 3, 6 and 30),
+    each iterating the keys out of order."""
+    for ks, kfs, half in (([0, 27], [3, 6, 9], False), ([0, 3, 6, 30], [0, 3, 6, 30], True)):
+        keys = CountedPairKeys(ks, kfs, half)
+        assert sorted(keys) == sorted(UNSORTED_KEYS) and list(keys) != sorted(UNSORTED_KEYS)
+        keys.iterations = 0
+        yield Placements(FlipKind.MIRROR_VERTICAL, keys, KEY_GRID), keys
+
+
 ASCENDING = tuple(
     Placement(FlipKind.MIRROR_VERTICAL, KEY_GRID.shift(k)) for k in sorted(UNSORTED_KEYS)
 )
@@ -588,6 +620,10 @@ def test_len_and_the_first_placement_leave_the_keys_unsorted():
     assert len(placements) == len(UNSORTED_KEYS)
     assert placements[0] == ASCENDING[0]
     assert keys == UNSORTED_KEYS
+    for placements, keys in all_pairs_placements():
+        assert len(placements) == len(UNSORTED_KEYS)
+        assert placements[0] == ASCENDING[0]
+        assert keys.iterations == 0 and placements._keys is keys
 
 
 @pytest.mark.parametrize(
@@ -617,6 +653,13 @@ def test_every_other_read_sorts_the_keys_once(read, expected):
     assert keys == sorted(UNSORTED_KEYS)
     assert placements.keys is keys
     assert read(placements) == expected
+    # the all-pairs form reads the same, and is listed and sorted once
+    for placements, keys in all_pairs_placements():
+        assert read(placements) == expected
+        assert keys.iterations == 1
+        assert placements.keys == sorted(UNSORTED_KEYS)
+        assert read(placements) == expected
+        assert keys.iterations == 1
 
 
 def test_protrusions_reject_too_many_parts():
