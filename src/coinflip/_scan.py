@@ -30,12 +30,12 @@ b0 = min_b(S) - max_b(F) and H = span_b(S) + span_b(F) + 1. Since
 has key (a - min_a S)·H + (b - min_b S), a flipped point
 (max_a F - a)·H + (max_b F - b), and a pair's key is the sum of the two.
 The product kernel's grid is this layout itself, one row of H cells per
-a, so a cell's index is its key. Both kernels return the tied keys as a
-sized iterable, each key once, in any order: `product_scan` a list, and
-`counter_scan` a list or, when every pair ties, a `PairKeys` that
-regenerates them from the point keys. So a caller that reads only the
-count or the least key sorts nothing. The layout stays in this module,
-and callers decode a key with `Grid.shift`.
+a, so a cell's index is its key. Both kernels return the tied keys, each
+once, as an ascending list, except that `counter_scan` returns a
+`PairKeys` when every pair ties: it regenerates the keys from the point
+keys and gives the least few without listing them (`PairKeys.head`).
+The layout stays in this module, and callers decode a key with
+`Grid.shift`.
 
 `scan_pairs` runs the kernel that `kernel_for` picks from the grid and
 the pair count: the cheaper one by the cost model.
@@ -172,12 +172,11 @@ def counter_bytes(grid: Grid, pairs: int) -> int:
     A scan holds at most min(pairs, grid.cells) distinct keys, each no
     larger than grid.cells. Banding usually keeps far fewer alive at once
     (see counter_scan), but a shape whose pairs crowd into one band holds
-    them all in one Counter. A scan in which every key ties no longer
-    lists them as well (it returns `PairKeys`), but that does not lower
-    the bound: a one-band scan peaks while its Counter's table grows,
-    before any tie is listed. 300 coins at 2^40 in one band peak at
-    10.87 MiB against an estimate of 11.33 MiB (tracemalloc, CPython
-    3.11), with or without the tie list.
+    them all in one Counter. A scan in which every key ties lists none
+    of them (it returns `PairKeys`), but that does not lower the bound:
+    a one-band scan peaks while its Counter's table grows, before any tie
+    is listed. 300 coins at 2^40 in one band peak at 10.87 MiB against an
+    estimate of 11.33 MiB (tracemalloc, CPython 3.11).
     """
     key_bytes = _COUNTER_BYTES_PER_KEY + sys.getsizeof(grid.cells)
     return min(pairs, grid.cells) * key_bytes
@@ -205,9 +204,9 @@ class PairKeys:
     |S|(|S| - 1)/2 sums of two different start keys. counter_scan returns
     it in place of a list when every pair ties.
 
-    It holds only the two key lists. `len` and `least` are O(1); iteration
-    regenerates the keys row by row, one flipped key at a time, in no
-    particular order.
+    It holds only the two key lists. `len` is O(1), and `head(n)` reads
+    only the first n + 1 keys of each list; iteration regenerates the
+    keys row by row, one flipped key at a time, not in ascending order.
     """
 
     __slots__ = ("ks", "kfs", "half")
@@ -219,10 +218,13 @@ class PairKeys:
         n = len(self.ks)
         return n * (n - 1) // 2 if self.half else n * len(self.kfs)
 
-    @property
-    def least(self) -> int:
-        """The least key: ks[0] + kfs[0], or ks[0] + ks[1] for a half count."""
-        return self.ks[0] + (self.ks[1] if self.half else self.kfs[0])
+    def head(self, n: int) -> list[int]:
+        """The n least keys, ascending. Each is a sum among the first n + 1
+        keys of each list, since the point keys are distinct: once i
+        reaches n, the n sums ks[0..n-1] + kfs[j] lie below ks[i] + kfs[j]
+        (likewise for j), and in a half count, once j reaches n + 1, the
+        n sums ks[0] + ks[1..n] lie below ks[i] + ks[j]."""
+        return sorted(PairKeys(self.ks[: n + 1], self.kfs[: n + 1], self.half))[:n]
 
     def __iter__(self):
         ks, half = self.ks, self.half
@@ -268,16 +270,17 @@ def counter_scan(start, flipped, grid: Grid):
     that. So it lists no ties: if the scan ends at that best, every band
     was such a band, every counted pair ties and each key is distinct,
     and the scan returns them as one `PairKeys`. Otherwise the ties are a
-    list. Either way each tied key comes out once, in no particular
-    order.
+    list, ascending: each band's ties are sorted (its diagonal keys come
+    out ascending), and the bands are ascending. Either way each tied key
+    comes out once.
 
     Memory is one band's distinct keys plus the listed ties, where a
     Counter of every pair would hold all the distinct keys at once. On a
     600-coin scatter over ±2^40 under mirror-h, where all 360,000 pairs
-    tie, the scan peaks at 10.9 MiB and its result holds 0.05 MiB; a
-    list of the ties peaked at 20.0 MiB and held 16.8 MiB (tracemalloc,
-    CPython 3.11). Bands split key space, not pairs: a shape whose pairs
-    crowd into one band still holds them all (see counter_bytes).
+    tie, the scan peaks at 10.9 MiB and its result holds 0.05 MiB
+    (tracemalloc, CPython 3.11). Bands split key space, not pairs: a
+    shape whose pairs crowd into one band still holds them all (see
+    counter_bytes).
     """
     width = grid.width
     ks = sorted((a - grid.start_a) * width + b - grid.start_b for a, b in start)
@@ -302,7 +305,7 @@ def counter_scan(start, flipped, grid: Grid):
         if odd:
             top, ties = 2 * top + 1, odd
         else:
-            ties = [] if distinct else list(compress(counts, map(top.__eq__, counts.values())))
+            ties = [] if distinct else sorted(compress(counts, map(top.__eq__, counts.values())))
             top *= 1 + half
         if top > best:
             best, keys = top, ties
@@ -373,7 +376,7 @@ def scan_pairs(start, flipped, grid: Grid):
 
     Both point arguments are nonempty collections of distinct (a, b)
     pairs, laid out as `grid` (`box_grid`). Returns (max_overlap, keys):
-    a sized iterable of the tied keys, each once, in any order, for
+    the tied keys, each once, as an ascending list or a `PairKeys`, for
     `grid.shift` to decode.
     `kernel_for` picks the kernel, or refuses the scan before either
     allocates (ScanBudgetError).

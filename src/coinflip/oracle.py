@@ -15,13 +15,12 @@ bounding boxes picks between them per call.
 Both kernels name each shift by one integer key, and ascending keys are
 ascending (da, db). A far-flung shape can tie hundreds of thousands of
 shifts, so solve() keeps the keys as the scan returned them, with the
-scan's `_scan.Grid`: a list in the order the scan found them or, when
-every coin pair ties, a `_scan.PairKeys` that holds only the coins' own
-keys. `Placements` decodes a placement through that grid (`Grid.shift`)
-only when it is read, and sorts the keys, listing a `PairKeys` first,
-only when a read needs their order: the count and the first placement,
-all that `analyze` and `solve` read, need none, and a rejected
-placement lists the five least shifts without it. The key layout stays
+scan's `_scan.Grid`: an ascending list or, when every coin pair ties, a
+`_scan.PairKeys` that holds only the coins' own keys. `Placements`
+decodes a placement through that grid (`Grid.shift`) only when it is
+read, and lists a `PairKeys` only for a read past its least few keys:
+the count and the first placement, all that `analyze` and `solve` read,
+and a rejection's five least shifts never list it. The key layout stays
 in `_scan`.
 
 Both kernels are exact, so a placement under the solved flip is optimal
@@ -70,50 +69,43 @@ class Placement(NamedTuple):
 
 class Placements(Sequence):
     """Read-only sequence of the optimal placements of one flip, ascending
-    by shift. It holds the scan's tie keys as the scan returned them, a
-    list in any order or a `_scan.PairKeys`, and each Placement is
-    decoded through `grid` when it is read.
+    by shift. It holds the scan's tie keys as the scan returned them, an
+    ascending list or a `_scan.PairKeys`, and each Placement is decoded
+    through `grid` when it is read.
 
-    `len` and `[0]` (the least key) leave the keys as they are, and
-    never iterate a `PairKeys`; every other read (`keys`, any other
-    index, iteration, `in`, slicing, ==, hash and repr) first sorts them,
-    once: a list in place, a `PairKeys` into a list that replaces it.
-    A slice is another Placements that keeps its own order (descending
-    under a negative step). Compares equal to a tuple of the same
-    placements, and hashes like one. It can be weakly referenced, so
-    that a caller can check that the tie keys it holds have been
-    freed."""
+    A list is held as it is. `len` and `[0]` never iterate a `PairKeys`;
+    every other read (`keys`, any other index, iteration, `in`, slicing,
+    ==, hash and repr) first lists it, once, into a sorted list that
+    replaces it. A slice is another Placements over its own list of keys,
+    in the slice's order (descending under a negative step). Compares
+    equal to a tuple of the same placements, and hashes like one. It can
+    be weakly referenced, so that a caller can check that the tie keys
+    it holds have been freed."""
 
-    __slots__ = ("flip", "grid", "_keys", "_ordered", "__weakref__")
+    __slots__ = ("flip", "grid", "_keys", "__weakref__")
 
     def __init__(self, flip: FlipKind, keys: list[int] | _scan.PairKeys, grid: _scan.Grid):
-        self.flip, self.grid = flip, grid
-        self._keys, self._ordered = keys, False
+        self.flip, self.grid, self._keys = flip, grid, keys
 
     @property
     def keys(self) -> list[int]:
         """The tie keys, in the order the placements are read."""
-        if not self._ordered:
-            if isinstance(self._keys, list):
-                self._keys.sort()
-            else:
-                self._keys = sorted(self._keys)
-            self._ordered = True
+        if isinstance(self._keys, _scan.PairKeys):
+            self._keys = sorted(self._keys)
         return self._keys
+
+    def _head(self, n: int) -> list[int]:
+        """The first n keys, read without listing a `PairKeys`."""
+        keys = self._keys
+        return keys.head(n) if isinstance(keys, _scan.PairKeys) else keys[:n]
 
     def __len__(self) -> int:
         return len(self._keys)
 
     def __getitem__(self, i) -> Placement | Placements:
         if isinstance(i, slice):
-            part = Placements(self.flip, self.keys[i], self.grid)
-            part._ordered = True
-            return part
-        if i == 0 and not self._ordered and self._keys:
-            keys = self._keys
-            key = keys.least if isinstance(keys, _scan.PairKeys) else min(keys)
-        else:
-            key = self.keys[i]
+            return Placements(self.flip, self.keys[i], self.grid)
+        key = self._head(1)[0] if i == 0 else self.keys[i]
         return Placement(self.flip, self.grid.shift(key))
 
     def __iter__(self):
@@ -227,10 +219,7 @@ def _optimal_sets(start, placement, result):
     target = target_set(start, placement)
     source = start - target
     if len(source) != result.min_moves:
-        import heapq  # loaded only to reject a placement
-
-        least = heapq.nsmallest(_SHIFTS_SHOWN, optimal._keys)
-        shown = ", ".join(str(optimal.grid.shift(key)) for key in least)
+        shown = ", ".join(str(optimal.grid.shift(key)) for key in optimal._head(_SHIFTS_SHOWN))
         if len(optimal) > _SHIFTS_SHOWN:
             shown += ", ..."
         raise ValueError(

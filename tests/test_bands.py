@@ -12,7 +12,8 @@ that half count.
 
 When every counted pair ties, as on a far-flung shape, counter_scan keeps
 no tie list and returns a PairKeys; the last tests check that form, its
-borders and its memory.
+borders, its least keys (PairKeys.head) and its memory, and that every
+tie list counter_scan returns otherwise is ascending.
 """
 
 import random
@@ -234,7 +235,8 @@ def test_a_half_turn_counts_each_pair_once_and_a_mirror_every_pair():
 def assert_all_pairs_form_matches(band_pairs, start, flip):
     """counter_scan agrees with a tuple Counter, returns each tied key once,
     and returns a PairKeys exactly when every counted pair ties; its
-    least key is the least it iterates. Returns the raw scan."""
+    head(1) is the least key it iterates, and a list is ascending.
+    Returns the raw scan."""
     flipped = flip_points(start, flip)
     grid = hull_grid(start, flipped)
     CountingCounter.pairs = 0
@@ -245,15 +247,42 @@ def assert_all_pairs_form_matches(band_pairs, start, flip):
     assert (best, list(map(grid.shift, sorted(listed)))) == tuple_counter(start, flipped)
     assert isinstance(keys, PairKeys) == (len(keys) == CountingCounter.pairs)
     if isinstance(keys, PairKeys):
-        assert keys.least == min(listed)
+        assert keys.head(1) == [min(listed)]
+    else:
+        assert listed == sorted(listed)
     return best, keys
 
 
-@given(far_points, st.booleans(), st.sampled_from(list(FlipKind)), st.integers(1, 64))
+def dominoes(points):
+    """Each point and its neighbour along a: a scatter of dominoes, whose
+    scans tie two coins or more at a shift, so that the ties are a list."""
+    return sorted({(a + i, b) for a, b in points for i in (0, 1)})
+
+
+SHAPES = {
+    "far-flung": lambda points, flip: sorted(points),
+    "point-symmetric": point_symmetric,
+    "dominoes": lambda points, flip: dominoes(points),
+}
+
+
+@given(far_points, st.sampled_from(sorted(SHAPES)), st.sampled_from(list(FlipKind)), st.integers(1, 64))
 @settings(max_examples=200, deadline=None)
-def test_the_all_pairs_form_matches_a_tuple_counter(points, symmetric, flip, band_pairs):
-    start = point_symmetric(points, flip) if symmetric else sorted(points)
-    assert_all_pairs_form_matches(band_pairs, start, flip)
+def test_the_all_pairs_form_matches_a_tuple_counter(points, shape, flip, band_pairs):
+    assert_all_pairs_form_matches(band_pairs, SHAPES[shape](points, flip), flip)
+
+
+key_lists = st.frozensets(st.one_of(st.integers(-20, 20), st.integers(-(2**40), 2**40)), min_size=1, max_size=10)
+
+
+@given(key_lists, key_lists, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_the_head_is_the_least_keys_ascending(ks, kfs, half):
+    ks = sorted(ks)
+    keys = PairKeys(ks, list(ks) if half else sorted(kfs), half)
+    listed = sorted(keys)
+    for n in range(1, 8):  # n reaches len(keys) on the small lists
+        assert keys.head(n) == listed[:n]
 
 
 def planted_repeat(coins, flip, seed):

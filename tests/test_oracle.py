@@ -188,9 +188,10 @@ def scan_inputs(shape, flip):
 
 def in_order(scan):
     """A kernel's (best, keys) with its keys sorted, after checking that
-    each tied key comes out once."""
+    each tied key comes out once, and a list of them ascending."""
     best, keys = scan
     assert len(set(keys)) == len(keys)
+    assert isinstance(keys, PairKeys) or keys == sorted(keys)
     return best, sorted(keys)
 
 
@@ -502,13 +503,18 @@ def test_nonoptimal_placement_is_rejected():
 def test_far_flung_rejection_lists_few_shifts():
     start = scatter(120, 2**40, 11)
     result = solve(start, FlipKind.MIRROR_HORIZONTAL)
-    placements = result.optimal_placements
+    keys = result.optimal_placements._keys
+    assert isinstance(keys, PairKeys)
+    # the same keys, through a spy that counts how often they are iterated
+    spy = CountedPairKeys(keys.ks, keys.kfs, keys.half)
+    placements = Placements(FlipKind.MIRROR_HORIZONTAL, spy, result.optimal_placements.grid)
+    result = result._replace(optimal_placements=placements)
     assert len(placements) == 120 * 120
     bad = Placement(FlipKind.MIRROR_HORIZONTAL, (2**50, 0))
     with pytest.raises(ValueError, match="not optimal") as exc:
         move_plan(start, bad, result=result)
-    # the rejection neither listed nor sorted the 14,400 tied keys
-    assert isinstance(placements._keys, PairKeys) and not placements._ordered
+    # the rejection neither listed nor regenerated the 14,400 tied keys
+    assert spy.iterations == 0 and placements._keys is spy
     message = str(exc.value)
     assert "the 14400 optimal shifts" in message
     assert str(placements[4].shift) in message
@@ -571,16 +577,17 @@ def test_results_compare_and_hash_by_value():
 
 
 UNSORTED_KEYS = [30, 6, 33, 3, 36, 9]
+ASCENDING_KEYS = sorted(UNSORTED_KEYS)
 KEY_GRID = Grid(
     width=7, start_rows=5, flipped_rows=5,
     start_a=0, start_b=0, flipped_a=0, flipped_b=0,
 )
 
 
-def unsorted_placements():
-    """Placements over keys in no order, as counter_scan returns them, and
-    the list it holds."""
-    keys = list(UNSORTED_KEYS)
+def listed_placements():
+    """Placements over an ascending list of keys, as the kernels return
+    them, and the list it holds."""
+    keys = list(ASCENDING_KEYS)
     return Placements(FlipKind.MIRROR_VERTICAL, keys, KEY_GRID), keys
 
 
@@ -605,21 +612,25 @@ def all_pairs_placements():
     each iterating the keys out of order."""
     for ks, kfs, half in (([0, 27], [3, 6, 9], False), ([0, 3, 6, 30], [0, 3, 6, 30], True)):
         keys = CountedPairKeys(ks, kfs, half)
-        assert sorted(keys) == sorted(UNSORTED_KEYS) and list(keys) != sorted(UNSORTED_KEYS)
+        assert sorted(keys) == ASCENDING_KEYS and list(keys) != ASCENDING_KEYS
         keys.iterations = 0
         yield Placements(FlipKind.MIRROR_VERTICAL, keys, KEY_GRID), keys
 
 
 ASCENDING = tuple(
-    Placement(FlipKind.MIRROR_VERTICAL, KEY_GRID.shift(k)) for k in sorted(UNSORTED_KEYS)
+    Placement(FlipKind.MIRROR_VERTICAL, KEY_GRID.shift(k)) for k in ASCENDING_KEYS
 )
 
 
 def test_len_and_the_first_placement_leave_the_keys_unsorted():
-    placements, keys = unsorted_placements()
+    placements, keys = listed_placements()
     assert len(placements) == len(UNSORTED_KEYS)
     assert placements[0] == ASCENDING[0]
-    assert keys == UNSORTED_KEYS
+    assert placements.keys is keys and keys == ASCENDING_KEYS
+    # a list is held as given: Placements never reorders it
+    keys = list(UNSORTED_KEYS)
+    placements = Placements(FlipKind.MIRROR_VERTICAL, keys, KEY_GRID)
+    assert placements.keys is keys and keys == UNSORTED_KEYS
     for placements, keys in all_pairs_placements():
         assert len(placements) == len(UNSORTED_KEYS)
         assert placements[0] == ASCENDING[0]
@@ -648,16 +659,17 @@ def test_len_and_the_first_placement_leave_the_keys_unsorted():
     ],
 )
 def test_every_other_read_sorts_the_keys_once(read, expected):
-    placements, keys = unsorted_placements()
+    # a list is read as it is held, neither reordered nor copied
+    placements, keys = listed_placements()
     assert read(placements) == expected
-    assert keys == sorted(UNSORTED_KEYS)
+    assert keys == ASCENDING_KEYS
     assert placements.keys is keys
     assert read(placements) == expected
     # the all-pairs form reads the same, and is listed and sorted once
     for placements, keys in all_pairs_placements():
         assert read(placements) == expected
         assert keys.iterations == 1
-        assert placements.keys == sorted(UNSORTED_KEYS)
+        assert placements.keys == ASCENDING_KEYS
         assert read(placements) == expected
         assert keys.iterations == 1
 
