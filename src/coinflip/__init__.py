@@ -30,6 +30,7 @@ from coinflip.oracle import (
     ProtrusionReport,
     backend,
     move_plan,
+    protrusion_sizes,
     protrusions,
     solve,
     target_set,
@@ -59,6 +60,7 @@ __all__ = [
     "hexagon",
     "load_custom",
     "move_plan",
+    "protrusion_sizes",
     "protrusions",
     "rhombus",
     "rhombus_moves_new",

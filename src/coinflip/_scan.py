@@ -126,6 +126,12 @@ class Grid(NamedTuple):
         da, db = divmod(key, self.width)
         return (self.start_a - self.flipped_a + da, self.start_b - self.flipped_b + db)
 
+    def key(self, shift) -> int | None:
+        """The key that `shift()` decodes to `shift`, or None when its db lies outside a row."""
+        da = shift[0] - self.start_a + self.flipped_a
+        db = shift[1] - self.start_b + self.flipped_b
+        return da * self.width + db if 0 <= db < self.width else None
+
 
 def box_grid(box: Box, flip: FlipKind) -> Grid:
     """The shift-key layout of a shape with hull `box` against its image
@@ -225,6 +231,16 @@ class PairKeys:
         (likewise for j), and in a half count, once j reaches n + 1, the
         n sums ks[0] + ks[1..n] lie below ks[i] + ks[j]."""
         return sorted(PairKeys(self.ks[: n + 1], self.kfs[: n + 1], self.half))[:n]
+
+    def __contains__(self, key) -> bool:
+        """Whether some pair sums to `key`: a bisection of kfs for key - ks[i]
+        per start key, over j > i only in a half count."""
+        kfs, n = self.kfs, len(self.kfs)
+        for i, k in enumerate(self.ks, 1):
+            j = bisect_left(kfs, key - k, i if self.half else 0)
+            if j < n and kfs[j] == key - k:
+                return True
+        return False
 
     def __iter__(self):
         ks, half = self.ks, self.half

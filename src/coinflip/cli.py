@@ -161,7 +161,7 @@ def cmd_solve(args) -> int:
     result = oracle.solve(coins, flip)
     canonical = result.optimal_placements[0]
     parts = len(family.formula("new")(args.size).parts) if family and family.is_puzzle else None
-    report = oracle.protrusions(coins, canonical, expected_parts=parts, result=result)
+    sizes = oracle.protrusion_sizes(coins, canonical, expected_parts=parts, result=result)
     print(f"shape: {label}")
     print(f"flip: {flip.value}")
     print(f"total coins: {result.total_coins}")
@@ -169,7 +169,7 @@ def cmd_solve(args) -> int:
     print(f"max overlap: {result.max_overlap}")
     print(f"optimal placements: {len(result.optimal_placements)}")
     print(f"canonical shift: {canonical.shift}")
-    print(f"protrusions: {_multiset_text(report.size_multiset)}")
+    print(f"protrusions: {_multiset_text(sizes)}")
     if args.moves:
         plan = oracle.move_plan(coins, canonical, result=result)
         print(f"moves ({len(plan.moves)}):")
@@ -303,12 +303,12 @@ def _flip_summary(coins, flip: FlipKind) -> str:
     """analyze's line for one flip. Its result, which can hold hundreds of
     thousands of tied shifts, is freed on return, before the next solve."""
     result = oracle.solve(coins, flip)
-    report = oracle.protrusions(coins, result.optimal_placements[0], result=result)
+    sizes = oracle.protrusion_sizes(coins, result.optimal_placements[0], result=result)
     return (
         f"flip {flip.value}: {result.min_moves} moves, "
         f"overlap {result.max_overlap}, "
         f"{len(result.optimal_placements)} placements, "
-        f"protrusions {_multiset_text(report.size_multiset)}"
+        f"protrusions {_multiset_text(sizes)}"
     )
 
 

@@ -20,12 +20,15 @@ scan's `_scan.Grid`: an ascending list or, when every coin pair ties, a
 decodes a placement through that grid (`Grid.shift`) only when it is
 read, and lists a `PairKeys` only for a read past its least few keys:
 the count and the first placement, all that `analyze` and `solve` read,
-and a rejection's five least shifts never list it. The key layout stays
-in `_scan`.
+`in`, and a rejection's five least shifts never list it. The key layout
+stays in `_scan`.
 
 Both kernels are exact, so a placement under the solved flip is optimal
-exactly when it moves min_moves coins; protrusions() and move_plan()
-take the solve() result and check that count, not the keys.
+exactly when it moves min_moves coins; protrusions(), protrusion_sizes()
+and move_plan() take the solve() result and check that count, not the
+keys. protrusion_sizes() gives only the sizes of the coin clusters that
+move, all that `solve` and `analyze` print; protrusions() also gives the
+clusters they move into and classifies each one, for `verify`.
 
 Coin inputs may be any iterable of (a, b) pairs. A frozenset, as the
 shape generators and the shape-file parser return it, is used as it is;
@@ -36,8 +39,9 @@ tuple.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
-from operator import eq
+from operator import eq, neg
 from typing import NamedTuple, Optional
 
 from coinflip import _scan
@@ -73,14 +77,14 @@ class Placements(Sequence):
     ascending list or a `_scan.PairKeys`, and each Placement is decoded
     through `grid` when it is read.
 
-    A list is held as it is. `len` and `[0]` never iterate a `PairKeys`;
-    every other read (`keys`, any other index, iteration, `in`, slicing,
-    ==, hash and repr) first lists it, once, into a sorted list that
-    replaces it. A slice is another Placements over its own list of keys,
-    in the slice's order (descending under a negative step). Compares
-    equal to a tuple of the same placements, and hashes like one. It can
-    be weakly referenced, so that a caller can check that the tie keys
-    it holds have been freed."""
+    A list is held as it is. `len`, `[0]` and `in` never iterate a
+    `PairKeys`; every other read (`keys`, any other index, iteration,
+    slicing, ==, hash and repr) first lists it, once, into a sorted list
+    that replaces it. A slice is another Placements over its own list of
+    keys, in the slice's order (descending under a negative step).
+    Compares equal to a tuple of the same placements, and hashes like
+    one. It can be weakly referenced, so that a caller can check that the
+    tie keys it holds have been freed."""
 
     __slots__ = ("flip", "grid", "_keys", "__weakref__")
 
@@ -107,6 +111,22 @@ class Placements(Sequence):
             return Placements(self.flip, self.keys[i], self.grid)
         key = self._head(1)[0] if i == 0 else self.keys[i]
         return Placement(self.flip, self.grid.shift(key))
+
+    def __contains__(self, value) -> bool:
+        """Whether `value` is one of the placements, found by bisecting the
+        keys for its shift's key (`Grid.key`), without decoding a placement
+        or listing a `PairKeys`."""
+        flip, shift = value if isinstance(value, tuple) and len(value) == 2 else (None, None)
+        if flip != self.flip or not (isinstance(shift, tuple) and len(shift) == 2):
+            return False
+        key, keys = self.grid.key(shift), self._keys
+        if key is None:
+            return False
+        if isinstance(keys, _scan.PairKeys):
+            return key in keys
+        descending = len(keys) > 1 and keys[0] > keys[-1]  # a slice with a negative step
+        i = bisect_left(keys, -key, key=neg) if descending else bisect_left(keys, key)
+        return i < len(keys) and keys[i] == key
 
     def __iter__(self):
         flip = self.flip
@@ -250,7 +270,8 @@ def protrusions(
     Source components are the start coins outside the overlap; target
     components are the uncovered image coins they move into. The size
     multiset is sorted descending and zero-padded to expected_parts
-    (3 for triangles, 2 for rhombi; pass None to keep the raw count).
+    (3 for triangles, 2 for rhombi; pass None to keep the raw count),
+    and more parts than that raise ValueError.
 
     `result` is solve(start, placement.flip); the placement is rejected
     if it is not one of its optimal ones.
@@ -258,20 +279,33 @@ def protrusions(
     start = as_coin_set(start)
     target, source = _optimal_sets(start, placement, result)
     source_components = components(source)
-    target_components = components(target - start)
-    sizes = sorted((c.size for c in source_components), reverse=True)
-    if expected_parts is not None:
-        if len(sizes) > expected_parts:
-            raise ValueError(
-                f"{len(sizes)} protrusions exceed the expected {expected_parts}"
-            )
-        sizes += [0] * (expected_parts - len(sizes))
     return ProtrusionReport(
         placement=placement,
         source_components=source_components,
-        target_components=target_components,
-        size_multiset=tuple(sizes),
+        target_components=components(target - start),
+        size_multiset=_size_multiset((c.size for c in source_components), expected_parts),
     )
+
+
+def protrusion_sizes(
+    start, placement: Placement, expected_parts: Optional[int] = None, *, result: OverlapResult
+) -> tuple[int, ...]:
+    """protrusions(...).size_multiset, with the same checks, but without
+    the target components, the triangle classes or any Component record."""
+    start = as_coin_set(start)
+    _, source = _optimal_sets(start, placement, result)
+    return _size_multiset(map(len, connected_components(source)), expected_parts)
+
+
+def _size_multiset(sizes, expected_parts: Optional[int]) -> tuple[int, ...]:
+    """The sizes sorted descending and zero-padded to expected_parts;
+    raises ValueError when there are more of them."""
+    sizes = sorted(sizes, reverse=True)
+    if expected_parts is not None:
+        if len(sizes) > expected_parts:
+            raise ValueError(f"{len(sizes)} protrusions exceed the expected {expected_parts}")
+        sizes += [0] * (expected_parts - len(sizes))
+    return tuple(sizes)
 
 
 def move_plan(

@@ -1,11 +1,12 @@
 import contextlib
 import csv
 import io
+from collections import Counter
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from coinflip import cli, formulas, render
+from coinflip import cli, formulas, oracle, render
 from coinflip.shapes import ShapeFormatError, load_custom, rhombus, triangle_up
 from golden_tables import RHOMBUS_TABLE, TRIANGLE_TABLE, moves_of
 
@@ -492,6 +493,35 @@ def test_analyze_lists_each_component_in_order(capsys, tmp_path):
         "  component 2: 3 coins, down triangle, 2 rows",
         "  component 3: 3 coins, not a triangle",
     ]
+
+
+def test_solve_and_analyze_build_only_the_components_they_list(capsys, tmp_path, monkeypatch):
+    # they print protrusion sizes alone: no Component record, no triangle
+    # class, except analyze's one listing of the shape's own components
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(oracle, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+
+    spy("components")
+    spy("classify_triangle")
+    path = tmp_path / "two.txt"
+    path.write_text("0 0\n1 0\n5 5\n")
+    for argv in (["solve", "triangle", "10"], ["solve", "rhombus", "6", "--moves"],
+                 ["solve", "--shape-file", str(path), "--flip", "mirror-v"]):
+        assert run(capsys, argv)[0] == 0
+        assert calls == {}, argv
+    for argv, listed in ((["analyze", "hexagon", "3"], 1), (["analyze", "--shape-file", str(path)], 2)):
+        calls.clear()
+        code, out = run(capsys, argv)
+        assert code == 0 and f"connected components: {listed}\n" in out
+        assert calls == {"components": 1, "classify_triangle": listed}, argv
 
 
 def test_render_refuses_an_oversized_ascii_grid(capsys, tmp_path):

@@ -24,11 +24,12 @@ from coinflip.oracle import (
     Placements,
     backend,
     move_plan,
+    protrusion_sizes,
     protrusions,
     solve,
     target_set,
 )
-from coinflip.shapes import FAMILIES, hexagon, rhombus, triangle_up
+from coinflip.shapes import FAMILIES, build, hexagon, rhombus, triangle_up
 from test_bands import hull_grid
 
 point_sets = st.frozensets(
@@ -644,7 +645,6 @@ def test_len_and_the_first_placement_leave_the_keys_unsorted():
         (lambda p: p[1], ASCENDING[1]),
         (lambda p: p[-1], ASCENDING[-1]),
         (lambda p: tuple(p), ASCENDING),
-        (lambda p: ASCENDING[3] in p, True),
         (lambda p: tuple(p[2:5]), ASCENDING[2:5]),
         (lambda p: tuple(p[::-1]), ASCENDING[::-1]),
         (lambda p: tuple(p[5:1:-2]), ASCENDING[5:1:-2]),
@@ -654,7 +654,7 @@ def test_len_and_the_first_placement_leave_the_keys_unsorted():
         (lambda p: repr(p), f"Placements({FlipKind.MIRROR_VERTICAL}, {[q.shift for q in ASCENDING]!r})"),
     ],
     ids=[
-        "keys", "index", "last", "iter", "in", "slice", "reversed", "step", "reversed-first",
+        "keys", "index", "last", "iter", "slice", "reversed", "step", "reversed-first",
         "eq", "hash", "repr",
     ],
 )
@@ -672,6 +672,156 @@ def test_every_other_read_sorts_the_keys_once(read, expected):
         assert placements.keys == ASCENDING_KEYS
         assert read(placements) == expected
         assert keys.iterations == 1
+
+
+def test_membership_bisects_without_listing_the_keys():
+    placements, keys = listed_placements()
+    assert ASCENDING[3] in placements and ASCENDING[3] in placements[::-1]
+    assert placements.keys is keys and keys == ASCENDING_KEYS
+    for placements, keys in all_pairs_placements():
+        assert all(p in placements for p in ASCENDING)
+        assert Placement(FlipKind.MIRROR_VERTICAL, KEY_GRID.shift(4)) not in placements
+        assert keys.iterations == 0 and placements._keys is keys
+
+
+def window(grid):
+    """Every shift of a grid's window, and one row or column past it."""
+    a0, b0 = grid.shift(0)
+    rows = grid.start_rows + grid.flipped_rows - 1
+    return {(a0 + da, b0 + db) for da in range(-1, rows + 1) for db in range(-1, grid.width + 1)}
+
+
+def around(placements):
+    """Each placement's shift, its six neighbours, and the shifts whose db
+    lies one row width past either end: unchecked, their keys would name
+    the placement's own cell."""
+    width = placements.grid.width
+    shifts = set()
+    for da, db in map(placements.grid.shift, sorted(placements._keys)):
+        shifts |= {(da + 1, db - width), (da - 1, db + width), (da, db)}
+        shifts |= {(da + x, db + y) for x, y in NEIGHBOR_OFFSETS}
+    return shifts
+
+
+def membership_probes(shifts):
+    """Each shift under every flip, as a Placement and as a plain tuple."""
+    for t in shifts:
+        for flip in FlipKind:
+            yield Placement(flip, t)
+            yield (flip, t)
+
+
+def assert_membership_is_a_scan(placements, probes):
+    """`in` answers as a scan of the decoded placements does, and leaves
+    the keys as they are held."""
+    held = placements._keys
+    listed = sorted(held) if isinstance(held, PairKeys) else list(held)
+    scanned = set(Placements(placements.flip, listed, placements.grid))
+    for value in probes:
+        assert (value in placements) == (value in scanned), value
+    assert placements._keys is held
+    assert isinstance(held, PairKeys) or held == listed
+
+
+def test_membership_agrees_with_a_scan_on_every_small_family():
+    for name in FAMILIES:
+        for n in range(1, 9):
+            start = build(name, n)
+            for flip in FlipKind:
+                placements = solve(start, flip).optimal_placements
+                assert isinstance(placements._keys, list)
+                probes = list(membership_probes(window(placements.grid) | around(placements)))
+                for view in (placements, placements[::-1], placements[1::2]):
+                    assert_membership_is_a_scan(view, probes)
+                # every pair key of the shape's coins against its image, held
+                # as counter_scan holds an all-tie result (a half count when
+                # the two key lists are equal, as under rot180)
+                sorted_start, flipped, grid = scan_inputs(start, flip)
+                w = grid.width
+                ks = sorted((a - grid.start_a) * w + b - grid.start_b for a, b in sorted_start)
+                kfs = sorted((grid.flipped_a - a) * w + grid.flipped_b - b for a, b in flipped)
+                pairs = Placements(flip, PairKeys(ks, kfs, ks == kfs), grid)
+                assert_membership_is_a_scan(pairs, membership_probes(window(grid)))
+
+
+@pytest.mark.parametrize("coins", [2, 3, 12])
+def test_membership_agrees_with_a_scan_on_all_tie_results(coins):
+    start = scatter(coins, 2**40, coins)
+    for flip in FlipKind:
+        placements = solve(start, flip).optimal_placements
+        assert isinstance(placements._keys, PairKeys)
+        assert placements._keys.half == (flip is FlipKind.ROTATE_180)
+        assert_membership_is_a_scan(placements, membership_probes(around(placements)))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [None, (), (FlipKind.ROTATE_180,), (FlipKind.ROTATE_180, (2, 2), 0), (2, 2),
+     (FlipKind.ROTATE_180, [2, 2]), (FlipKind.ROTATE_180, (2, 2, 0)), "ab"],
+    ids=["none", "empty", "flip-alone", "triple", "shift-alone", "list-shift",
+         "long-shift", "string"],
+)
+def test_membership_of_a_value_that_is_not_a_placement_is_false(value):
+    placements = solve(triangle_up(4), FlipKind.ROTATE_180).optimal_placements
+    assert (value in placements) is False
+    assert (value in tuple(placements)) is False
+    assert Placement(FlipKind.ROTATE_180, (2, 2)) in placements
+    assert (FlipKind.ROTATE_180, (2.0, 2)) in placements
+
+
+def grown_blob(steps):
+    """A connected blob: each step adds a neighbour of an earlier coin."""
+    coins = [(0, 0)]
+    for pick, direction in steps:
+        a, b = coins[pick % len(coins)]
+        da, db = NEIGHBOR_OFFSETS[direction]
+        coins.append((a + da, b + db))
+    return frozenset(coins)
+
+
+blobs = st.lists(st.tuples(st.integers(0, 63), st.integers(0, 5)), max_size=40).map(grown_blob)
+
+
+def assert_sizes_are_the_report_sizes(start, flip):
+    """protrusion_sizes equals protrusions' size_multiset at every optimal
+    placement, padded or not, and raises as it does."""
+    result = solve(start, flip)
+    for placement in result.optimal_placements:
+        sizes = protrusion_sizes(start, placement, result=result)
+        assert sizes == protrusions(start, placement, result=result).size_multiset
+        assert list(sizes) == sorted(sizes, reverse=True) and 0 not in sizes
+        assert sum(sizes) == result.min_moves
+        for parts in range(len(sizes), len(sizes) + 3):
+            padded = protrusion_sizes(start, placement, parts, result=result)
+            assert padded == protrusions(start, placement, parts, result=result).size_multiset
+            assert padded == sizes + (0,) * (parts - len(sizes))
+        if sizes:
+            with pytest.raises(ValueError, match="exceed") as want:
+                protrusions(start, placement, len(sizes) - 1, result=result)
+            with pytest.raises(ValueError, match="exceed") as got:
+                protrusion_sizes(start, placement, len(sizes) - 1, result=result)
+            assert str(got.value) == str(want.value)
+    far = result.optimal_placements[-1]._replace(shift=(2**50, 0))
+    other = far._replace(flip=next(f for f in FlipKind if f != flip))
+    for bad in (far, other):
+        with pytest.raises(ValueError, match="not optimal") as want:
+            protrusions(start, bad, result=result)
+        with pytest.raises(ValueError, match="not optimal") as got:
+            protrusion_sizes(start, bad, result=result)
+        assert str(got.value) == str(want.value)
+
+
+def test_protrusion_sizes_match_the_report_on_every_family():
+    for name in FAMILIES:
+        for n in range(1, 13):
+            for flip in FlipKind:
+                assert_sizes_are_the_report_sizes(build(name, n), flip)
+
+
+@given(blobs, st.sampled_from(list(FlipKind)))
+@settings(max_examples=80, deadline=None)
+def test_protrusion_sizes_match_the_report_on_blobs(start, flip):
+    assert_sizes_are_the_report_sizes(start, flip)
 
 
 def test_protrusions_reject_too_many_parts():
