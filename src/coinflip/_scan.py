@@ -4,38 +4,40 @@ The overlap of `start` with the flipped image shifted by t is the number
 of point pairs (s, f) with s = f + t. Any translation outside the
 difference set s - f has overlap 0, and for nonempty inputs some
 translation reaches overlap >= 1, so the maximum over the difference set
-is the maximum over all translations. Two pure-Python kernels compute it
-exactly and return the same overlap and the same tied keys. Each takes
-two nonempty collections of distinct points and their `Grid`, as
-`scan_pairs` passes them:
+is the maximum over all translations.
 
-- `counter_scan`, the reference kernel: Counters over the differences of
+Every point and every shift is one integer key, laid out as `Grid`
+describes. With a0 = min_a(S) - max_a(F), b0 = min_b(S) - max_b(F) and
+H = span_b(S) + span_b(F) + 1, a shift (da, db) has key
+(da - a0)·H + (db - b0); since 0 <= db - b0 < H, ascending keys are
+ascending (da, db). A start point has key (a - min_a S)·H + (b - min_b S),
+a flipped point (max_a F - a)·H + (max_b F - b), and a pair's key is the
+sum of the two. `point_keys` alone maps points to keys: both point sets,
+once per scan, sorted, as a `PairKeys`. Callers decode a shift key with
+`Grid.shift` and a start point's key with `Grid.start_point`.
+
+Two pure-Python kernels run on those keys, compute the overlap exactly
+and return the same overlap and the same tied keys:
+
+- `counter_scan`, the reference kernel: Counters over the pair keys of
   all |S|·|F| pairs, one ascending band of shift keys at a time, so that
   it holds one band's counts plus the tied keys found so far, and no tie
   list at all when every pair ties. Its cost follows the pair count
   alone. When the image is a translate of the shape's point reflection,
   as under rot180 always, the start and flipped keys are equal, and it
   counts each of the |S|(|S| - 1)/2 unordered pairs once.
-- `product_scan`: Kronecker substitution. Each point set becomes a 0/1
-  grid packed into the digits of one big integer, and a single CPython
-  multiplication yields the exact overlap at every shift of the
-  bounding-box correlation grid; equal grids, as under rot180, are
-  squared. Its cost follows the grid size, and each cell is sized from
-  the pair count alone (`_cell_bytes`).
+- `product_scan`: Kronecker substitution. Each key list becomes a 0/1
+  grid, one row of H cells per a, packed into the digits of one big
+  integer, so a cell's index is its key, and a single CPython
+  multiplication yields the exact overlap at every shift key; equal key
+  lists, as under rot180, are squared. Its cost follows the grid size,
+  and each cell is sized from the pair count alone (`_cell_bytes`).
 
-Both kernels name a shift (da, db) by one integer key, laid out as `Grid`
-describes: key = (da - a0)·H + (db - b0), where a0 = min_a(S) - max_a(F),
-b0 = min_b(S) - max_b(F) and H = span_b(S) + span_b(F) + 1. Since
-0 <= db - b0 < H, ascending keys are ascending (da, db). A start point
-has key (a - min_a S)·H + (b - min_b S), a flipped point
-(max_a F - a)·H + (max_b F - b), and a pair's key is the sum of the two.
-The product kernel's grid is this layout itself, one row of H cells per
-a, so a cell's index is its key. Both kernels return the tied keys, each
-once, as an ascending list, except that `counter_scan` returns a
-`PairKeys` when every pair ties: it regenerates the keys from the point
-keys and gives the least few without listing them (`PairKeys.head`).
-The layout stays in this module, and callers decode a key with
-`Grid.shift`.
+Both return the tied keys, each once, as an ascending list, except that
+`counter_scan` returns the `PairKeys` it ran on when every pair ties: it
+regenerates the pair keys and gives the least few without listing them
+(`PairKeys.head`). `scan_pairs` also returns that `PairKeys`, so that the
+caller keeps the points' keys with the result.
 
 `scan_pairs` runs the kernel that `kernel_for` picks from the grid and
 the pair count: the cheaper one by the cost model.
@@ -97,7 +99,7 @@ MAX_SCAN_BYTES = 2 << 30
 # time, unless many pairs share a narrow range of keys (see counter_scan).
 BAND_PAIRS = 1 << 16
 
-_TYPECODES = {1: "B", 2: "H", 4: "I"}
+_TYPECODES = {2: "H", 4: "I"}
 
 
 class Grid(NamedTuple):
@@ -106,7 +108,9 @@ class Grid(NamedTuple):
     The correlation grid has one row per da, each of `width` cells: cell
     (da - a0)·width + (db - b0) holds the overlap at shift (da, db), where
     a0 = start_a - flipped_a and b0 = start_b - flipped_b. That cell index
-    is the shift's key in both kernels.
+    is the shift's key in both kernels. Every flip keeps a shape's b-span,
+    so for a shape against its own image width = 2·span_b + 1: a start
+    point's key leaves at least span_b free cells after each row.
     """
 
     width: int  # span_b(start) + span_b(flipped) + 1, the H of the key
@@ -125,6 +129,11 @@ class Grid(NamedTuple):
         """The shift (da, db) that `key` names."""
         da, db = divmod(key, self.width)
         return (self.start_a - self.flipped_a + da, self.start_b - self.flipped_b + db)
+
+    def start_point(self, key: int) -> tuple[int, int]:
+        """The start point whose key (`point_keys`) is `key`."""
+        da, db = divmod(key, self.width)
+        return (self.start_a + da, self.start_b + db)
 
     def key(self, shift) -> int | None:
         """The key that `shift()` decodes to `shift`, or None when its db lies outside a row."""
@@ -205,10 +214,13 @@ class ScanBudgetError(ValueError):
 
 
 class PairKeys:
-    """Every pair key of the sorted start keys `ks` and flipped keys `kfs`,
-    each once: |S|·|F| sums, or for a half count (`ks == kfs`) the
-    |S|(|S| - 1)/2 sums of two different start keys. counter_scan returns
-    it in place of a list when every pair ties.
+    """The pairs of one scan: the sorted start keys `ks` and flipped keys
+    `kfs` (`point_keys`), which both kernels take, and as a sequence every
+    pair key, each once when no two pairs share one: |S|·|F| sums, or for
+    a half count (`ks == kfs`, one list) the |S|(|S| - 1)/2 sums of two
+    different start keys. counter_scan returns it in place of a tie list
+    when every pair ties, and `oracle.Placements` keeps it as the coins'
+    keys.
 
     It holds only the two key lists. `len` is O(1), and `head(n)` reads
     only the first n + 1 keys of each list; iteration regenerates the
@@ -248,7 +260,7 @@ class PairKeys:
             yield from map(kf.__add__, ks[i:] if half else ks)
 
 
-def counter_scan(start, flipped, grid: Grid):
+def counter_scan(pairs: PairKeys):
     """Reference kernel: count the shift key of every pair, one band of
     keys at a time.
 
@@ -260,7 +272,7 @@ def counter_scan(start, flipped, grid: Grid):
     slice of ks found by bisection (the whole row when there is one band),
     and the band's pairs are counted in a Counter of its own.
 
-    When ks == kfs, pairs (i, j) and (j, i) share a key. That is so when
+    When ks == kfs (`pairs.half`), pairs (i, j) and (j, i) share a key. That is so when
     the image is a translate of the shape's point reflection: under
     rot180 always, and under one mirror when the shape is symmetric under
     the other (the up triangle under mirror-v). Then each row starts
@@ -285,7 +297,7 @@ def counter_scan(start, flipped, grid: Grid):
     half count, and any band with a repeated key or a centre hit beats
     that. So it lists no ties: if the scan ends at that best, every band
     was such a band, every counted pair ties and each key is distinct,
-    and the scan returns them as one `PairKeys`. Otherwise the ties are a
+    and the scan returns `pairs` itself as the tie keys. Otherwise the ties are a
     list, ascending: each band's ties are sorted (its diagonal keys come
     out ascending), and the bands are ascending. Either way each tied key
     comes out once.
@@ -298,25 +310,22 @@ def counter_scan(start, flipped, grid: Grid):
     shape whose pairs crowd into one band still holds them all (see
     counter_bytes).
     """
-    width = grid.width
-    ks = sorted((a - grid.start_a) * width + b - grid.start_b for a, b in start)
-    kfs = sorted((grid.flipped_a - a) * width + grid.flipped_b - b for a, b in flipped)
-    half = ks == kfs
+    ks, kfs, half = pairs.ks, pairs.kfs, pairs.half
     first, end = ks[0] + kfs[0], ks[-1] + kfs[-1] + 1
     bands = -(-len(ks) * len(kfs) // BAND_PAIRS)
     step = -(-(end - first) // bands)
     best, keys = 0, []
     for lo in range(first, end, step):
         hi = lo + step
-        counts, pairs = Counter(), 0
+        counts, counted = Counter(), 0
         for i, kf in enumerate(kfs, 1):
             j = i if half else 0  # a half count pairs kf with the keys after it
             row = ks[bisect_left(ks, lo - kf, j) : bisect_left(ks, hi - kf, j)]
-            pairs += len(row)
+            counted += len(row)
             counts.update(map(kf.__add__, row))
         centres = ks[bisect_left(ks, -(-lo // 2)) : bisect_left(ks, -(-hi // 2))] if half else []
-        distinct = len(counts) == pairs  # each of the band's keys counted once
-        top = min(pairs, 1) if distinct else max(counts.values())
+        distinct = len(counts) == counted  # each of the band's keys counted once
+        top = min(counted, 1) if distinct else max(counts.values())
         odd = [2 * x for x in centres if counts[2 * x] == top]
         if odd:
             top, ties = 2 * top + 1, odd
@@ -328,34 +337,50 @@ def counter_scan(start, flipped, grid: Grid):
         elif top == best:
             keys += ties
     if best == 1 + half:  # only bands of distinct keys reach it: every pair ties
-        return best, PairKeys(ks, kfs, half)
+        return best, pairs
     return best, keys
 
 
-def product_scan(start, flipped, grid: Grid):
+def product_scan(pairs: PairKeys):
     """Kronecker-substitution kernel: one big-integer product.
 
-    Start coins go to cell (a - min_a)·width + (b - min_b) of one grid and
-    flipped coins, reversed, to (max_a - a)·width + (max_b - b) of another.
-    Multiplying the two integers adds those offsets, so each cell of the
-    product counts the pairs of one shift key, and the tied cells are found
-    in ascending key order. Under rot180 the two grids are equal, and the
+    Each start key k sets cell k of one grid, and each flipped key cell k
+    of another, so that the flipped coins lie reversed. Multiplying the two
+    integers adds those keys, so each cell of the product counts the pairs
+    of one shift key, and the tied cells are found in ascending key order.
+    When the two key lists are equal (`pairs.half`, as under rot180) the
     product is a square, which CPython computes faster than a product of
-    two different integers.
+    two different integers. One-byte cells are searched as the product's
+    bytes, wider ones as an array: `bytes.index` finds a count by memchr,
+    where `array.index` compares cell by cell (13 against 0.8 µs for the two
+    ties among rhombus 14's 1067 mirror-h cells). The best count of one-byte
+    cells is found by memchr too (`in`), stepping down from the most a cell
+    can hold, min(|S|, |F|): 1.6 against 14 µs for `max` on those cells,
+    and 44 against 300 µs on a 250-coin scatter whose best is 24.
     """
-    nb, width = _cell_bytes(len(start) * len(flipped)), grid.width
-    s = bytearray(nb * width * grid.start_rows)
-    for a, b in start:
-        s[nb * ((a - grid.start_a) * width + b - grid.start_b)] = 1
-    f = bytearray(nb * width * grid.flipped_rows)
-    for a, b in flipped:
-        f[nb * ((grid.flipped_a - a) * width + grid.flipped_b - b)] = 1
+    ks, kfs = pairs.ks, pairs.kfs
+    nb = _cell_bytes(len(ks) * len(kfs))
+    s = bytearray(nb * (ks[-1] + 1))
+    for k in ks:
+        s[nb * k] = 1
     x = int.from_bytes(s, "little")
-    product = x * x if s == f else x * int.from_bytes(f, "little")
-    counts = array(_TYPECODES[nb], product.to_bytes(nb * grid.cells, "little"))
-    if sys.byteorder == "big":
-        counts.byteswap()
-    best = max(counts)
+    if pairs.half:
+        product = x * x
+    else:
+        f = bytearray(nb * (kfs[-1] + 1))
+        for k in kfs:
+            f[nb * k] = 1
+        product = x * int.from_bytes(f, "little")
+    counts = product.to_bytes(nb * (ks[-1] + kfs[-1] + 1), "little")
+    if nb > 1:
+        counts = array(_TYPECODES[nb], counts)
+        if sys.byteorder == "big":
+            counts.byteswap()
+        best = max(counts)
+    else:  # one-byte cells stay bytes, whose `in` and index() are a memchr
+        best = min(len(ks), len(kfs))
+        while best not in counts:
+            best -= 1
     keys = []
     i = counts.index(best)
     while i >= 0:
@@ -387,16 +412,36 @@ def kernel_for(grid: Grid, pairs: int):
     return counter_scan
 
 
+def point_keys(start, flipped, grid: Grid) -> PairKeys:
+    """The sorted keys of the start points and of the flipped points in the
+    `grid` layout, as the `PairKeys` of every pair: a start point (a, b) has
+    key (a - grid.start_a)·width + (b - grid.start_b), a flipped point
+    (grid.flipped_a - a)·width + (grid.flipped_b - b). Equal lists are one
+    list, a half count."""
+    width = grid.width
+    s0 = grid.start_a * width + grid.start_b
+    f0 = grid.flipped_a * width + grid.flipped_b
+    ks = [a * width + b - s0 for a, b in start]
+    kfs = [f0 - a * width - b for a, b in flipped]
+    ks.sort()
+    kfs.sort()
+    half = ks == kfs
+    return PairKeys(ks, ks if half else kfs, half)
+
+
 def scan_pairs(start, flipped, grid: Grid):
     """Best overlap over all translations of `flipped` onto `start`.
 
     Both point arguments are nonempty collections of distinct (a, b)
-    pairs, laid out as `grid` (`box_grid`). Returns (max_overlap, keys):
-    the tied keys, each once, as an ascending list or a `PairKeys`, for
-    `grid.shift` to decode.
+    pairs, laid out as `grid` (`box_grid`). Returns (max_overlap, keys,
+    pairs): the tied keys, each once, as an ascending list or a
+    `PairKeys`, for `grid.shift` to decode, and the scan's `point_keys`,
+    which the kernel ran on.
     `kernel_for` picks the kernel, or refuses the scan before either
     allocates (ScanBudgetError).
     """
     if not start or not flipped:
         raise ValueError("scan_pairs requires nonempty point lists")
-    return kernel_for(grid, len(start) * len(flipped))(start, flipped, grid)
+    kernel = kernel_for(grid, len(start) * len(flipped))
+    pairs = point_keys(start, flipped, grid)
+    return (*kernel(pairs), pairs)

@@ -16,6 +16,7 @@ the status a shell reports for a writer killed by SIGPIPE.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from types import SimpleNamespace
@@ -236,7 +237,13 @@ def _verify_fail(n: int, what: str, detail: str) -> int:
 
 def cmd_verify(args) -> int:
     """Formula-vs-oracle sweep over the puzzle families; stops with a
-    counterexample dump on mismatch. Checks its last, largest row's scans first."""
+    counterexample dump on mismatch. Checks its last, largest row's scans first.
+
+    Per row and family: the three formulas agree; every flip's oracle finds
+    their move count; every flip has C(k, (rows - 1) mod k) optimal
+    placements, one per choice of the k parts that are one row larger; and
+    every placement of the default flip moves k triangles of the formula's
+    sizes into triangles of the same sizes."""
     max_rows = args.max_rows
     if max_rows < 1:
         raise UsageError("max_rows must be >= 1")
@@ -263,11 +270,21 @@ def cmd_verify(args) -> int:
                     n, f"{name} oracle disagrees with formulas",
                     f"  {found} formulas={new.moves}",
                 )
+            k = len(new.parts)
+            choices = math.comb(k, (n - 1) % k)
+            if any(len(r.optimal_placements) != choices for r in results):
+                found = " ".join(
+                    f"{f.value}={len(r.optimal_placements)}" for f, r in zip(flips, results)
+                )
+                return _verify_fail(
+                    n, f"{name} optimal placements disagree with C({k}, {(n - 1) % k})",
+                    f"  {found} expected={choices}",
+                )
             result = results[0]
             for placement in result.optimal_placements:
                 what = f"{name} protrusions at shift {placement.shift}"
                 try:
-                    rep = oracle.protrusions(coins, placement, len(new.parts), result=result)
+                    rep = oracle.protrusions(coins, placement, k, result=result)
                 except ValueError as exc:  # more protrusions than parts
                     return _verify_fail(n, what, f"  {exc}")
                 bad = [c for c in rep.source_components if c.triangle is None]

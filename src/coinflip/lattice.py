@@ -8,6 +8,14 @@ arithmetic; the float embedding exists only for drawing.
 A flip (FlipKind) reaches coins through `flip_points`, which flips and
 then shifts them, and boxes through `Box.flip`.
 
+Touching clusters are found on integer keys, not tuples: with a·width + b
+as a coin's key and a width that leaves a free cell after each row (or
+width 1 when every coin has the same b), a coin's six neighbours are its
+key ±width, ±1 and ±(width - 1). `key_components` floods such keys.
+`connected_components` keys any coins that way, and the oracle floods
+its moving coins in its scan's key layout (`_scan.Grid`), where
+width = 2·span_b + 1.
+
 A coin is a plain (a, b) tuple of ints. Public functions accept any
 iterable of (a, b) pairs: `as_coin_set` keeps a frozenset as it is and
 converts anything else once. A coin that is not a pair raises ValueError
@@ -127,29 +135,82 @@ def embed(c) -> tuple[float, float]:
     return (a + b / 2.0, b * (SQRT3 / 2.0))
 
 
+def key_components(keys, width: int) -> list[list[int]]:
+    """Partition coins given by integer keys into maximal touching clusters.
+
+    Coin (a, b) has key a·width + b + c, for one constant c, and every
+    coin's b lies in a range of at most width - 1 values, or width is 1
+    and every coin has the same b. Its six neighbours then have the keys
+    ±width, ±1 and ±(width - 1) from its own, and no such key names a coin
+    that does not touch it: a step past a row's last coin lands in a free
+    cell. Components come back ascending by their least key, each a list
+    that starts with it. Seeds are taken in sorted order, so no final sort
+    is needed: O(n log n) in all.
+    """
+    unvisited = set(keys)
+    remove = unvisited.remove
+    diagonal = width - 1
+    components = []
+    for seed in sorted(unvisited):
+        if seed not in unvisited:
+            continue
+        remove(seed)
+        component = [seed]
+        append = component.append
+        # The six steps are written out: a loop over a tuple of them costs
+        # about a third more (51 against 38 µs to flood rhombus 14's 196
+        # coins), and a set intersection per coin about twice as much.
+        for k in component:  # the list grows as the flood reaches coins
+            n = k + width
+            if n in unvisited:
+                remove(n)
+                append(n)
+            n = k - width
+            if n in unvisited:
+                remove(n)
+                append(n)
+            n = k + 1
+            if n in unvisited:
+                remove(n)
+                append(n)
+            n = k - 1
+            if n in unvisited:
+                remove(n)
+                append(n)
+            n = k + diagonal
+            if n in unvisited:
+                remove(n)
+                append(n)
+            n = k - diagonal
+            if n in unvisited:
+                remove(n)
+                append(n)
+        components.append(component)
+    return components
+
+
 def connected_components(coins) -> list[CoinSet]:
     """Partition into maximal touching clusters.
 
     Components come back ordered by their lexicographically smallest
-    member, so reports are deterministic. Seeds are taken in sorted
-    order, so each component's seed is its smallest coin and no final
-    sort is needed: O(n log n) in all.
+    member, so reports are deterministic. Each coin gets the key
+    (a - min a)·width + (b - min b), with width = span_b + 2, whose order
+    is the coins' order; `key_components` floods the keys, and each
+    component is decoded once. A set that is one component, as every
+    family shape is, is returned as its own component, decoding nothing.
     """
     coins = as_coin_set(coins)
-    unvisited = dict(zip(coins, coins))
-    pop = unvisited.pop
-    components = []
-    for seed in sorted(coins):
-        if pop(seed, None) is None:
-            continue
-        component = [seed]
-        for a, b in component:  # the list grows as the search reaches coins
-            for da, db in NEIGHBOR_OFFSETS:
-                c = pop((a + da, b + db), None)
-                if c is not None:
-                    component.append(c)
-        components.append(frozenset(component))
-    return components
+    if not coins:
+        return []
+    a_s, b_s = zip(*coins, strict=True)  # a coin that is not a pair raises
+    a_lo, b_lo = min(a_s), min(b_s)
+    width = max(b_s) - b_lo + 2
+    keys = [(a - a_lo) * width + b - b_lo for a, b in coins]
+    components = key_components(keys, width)
+    if len(components) == 1:
+        return [coins]
+    coin_of = dict(zip(keys, coins))
+    return [frozenset(map(coin_of.__getitem__, c)) for c in components]
 
 
 def triangle_number_index(count: int) -> Optional[int]:

@@ -12,23 +12,27 @@ bounding-box grid for dense shapes, and the reference Counter over all
 coin pairs for sparse or far-flung ones. A cost model read off the
 bounding boxes picks between them per call.
 
-Both kernels name each shift by one integer key, and ascending keys are
-ascending (da, db). A far-flung shape can tie hundreds of thousands of
-shifts, so solve() keeps the keys as the scan returned them, with the
-scan's `_scan.Grid`: an ascending list or, when every coin pair ties, a
-`_scan.PairKeys` that holds only the coins' own keys. `Placements`
-decodes a placement through that grid (`Grid.shift`) only when it is
-read, and lists a `PairKeys` only for a read past its least few keys:
-the count and the first placement, all that `analyze` and `solve` read,
-`in`, and a rejection's five least shifts never list it. The key layout
-stays in `_scan`.
+Inside a solve, every coin and every shift is one integer key in the
+scan's `_scan.Grid` layout, and ascending keys are ascending (a, b) or
+(da, db). The scan maps the coins and their image to sorted keys once
+(`_scan.point_keys`), and solve() keeps those keys, as a `_scan.PairKeys`,
+with the tie keys the scan returned: an ascending list or, when every
+coin pair ties, that same `PairKeys`. A far-flung shape can tie hundreds
+of thousands of shifts, so `Placements` decodes a placement through the
+grid (`Grid.shift`) only when it is read, and lists a `PairKeys` only
+for a read past its least few keys: the count and the first placement,
+all that `analyze` and `solve` read, `in`, and a rejection's five least
+shifts never list it.
 
 Both kernels are exact, so a placement under the solved flip is optimal
-exactly when it moves min_moves coins; protrusions(), protrusion_sizes()
-and move_plan() take the solve() result and check that count, not the
-keys. protrusion_sizes() gives only the sizes of the coin clusters that
-move, all that `solve` and `analyze` print; protrusions() also gives the
-clusters they move into and classifies each one, for `verify`.
+exactly when it moves min_moves coins. One check (`_moving_keys`) serves
+protrusions(), protrusion_sizes() and move_plan(): with K the shift's
+key, the start coins that move are the start keys k for which K - k is
+not a flipped key. protrusion_sizes() floods those keys
+(`lattice.key_components`) for the sizes of the clusters that move, all
+that `solve` and `analyze` print; protrusions() decodes them
+(`Grid.start_point`), and also gives the clusters they move into and
+classifies each one, for `verify`.
 
 Coin inputs may be any iterable of (a, b) pairs. A frozenset, as the
 shape generators and the shape-file parser return it, is used as it is;
@@ -52,6 +56,7 @@ from coinflip.lattice import (
     classify_triangle,
     connected_components,
     flip_points,
+    key_components,
 )
 
 
@@ -75,7 +80,8 @@ class Placements(Sequence):
     """Read-only sequence of the optimal placements of one flip, ascending
     by shift. It holds the scan's tie keys as the scan returned them, an
     ascending list or a `_scan.PairKeys`, and each Placement is decoded
-    through `grid` when it is read.
+    through `grid` when it is read. `pairs` holds the keys of the coins
+    and of their image that the scan ran on, for the optimality check.
 
     A list is held as it is. `len`, `[0]` and `in` never iterate a
     `PairKeys`; every other read (`keys`, any other index, iteration,
@@ -86,10 +92,12 @@ class Placements(Sequence):
     one. It can be weakly referenced, so that a caller can check that the
     tie keys it holds have been freed."""
 
-    __slots__ = ("flip", "grid", "_keys", "__weakref__")
+    __slots__ = ("flip", "grid", "pairs", "_keys", "__weakref__")
 
-    def __init__(self, flip: FlipKind, keys: list[int] | _scan.PairKeys, grid: _scan.Grid):
-        self.flip, self.grid, self._keys = flip, grid, keys
+    def __init__(
+        self, flip: FlipKind, keys: list[int] | _scan.PairKeys, grid: _scan.Grid, pairs: _scan.PairKeys
+    ):
+        self.flip, self.grid, self.pairs, self._keys = flip, grid, pairs, keys
 
     @property
     def keys(self) -> list[int]:
@@ -108,7 +116,7 @@ class Placements(Sequence):
 
     def __getitem__(self, i) -> Placement | Placements:
         if isinstance(i, slice):
-            return Placements(self.flip, self.keys[i], self.grid)
+            return Placements(self.flip, self.keys[i], self.grid, self.pairs)
         key = self._head(1)[0] if i == 0 else self.keys[i]
         return Placement(self.flip, self.grid.shift(key))
 
@@ -212,12 +220,12 @@ def solve(start, flip: FlipKind) -> OverlapResult:
     if not start:
         raise ValueError("cannot solve an empty coin set")
     grid = _scan.box_grid(Box.of(start), flip)
-    best, keys = _scan.scan_pairs(start, flip_points(start, flip), grid)
+    best, keys, pairs = _scan.scan_pairs(start, flip_points(start, flip), grid)
     return OverlapResult(
         total_coins=len(start),
         max_overlap=best,
         min_moves=len(start) - best,
-        optimal_placements=Placements(flip, keys, grid),
+        optimal_placements=Placements(flip, keys, grid, pairs),
     )
 
 
@@ -226,27 +234,35 @@ def solve(start, flip: FlipKind) -> OverlapResult:
 _SHIFTS_SHOWN = 5
 
 
-def _optimal_sets(start, placement, result):
-    """The placement's target set and the start coins that move to it,
-    after checking that it is optimal: it moves min_moves coins under the
-    result's flip."""
+def _moving_keys(placement, result) -> set[int]:
+    """The keys (`_scan.point_keys`) of the start coins that the placement
+    moves, after checking that it is optimal: it moves min_moves coins
+    under the result's flip.
+
+    With K the shift's key (`Grid.key`), a start coin of key k stays
+    exactly when K - k is a flipped coin's key, since a pair's keys sum to
+    its shift's key. A shift whose db lies outside the grid's rows (K is
+    None) covers no coin.
+    """
     optimal = result.optimal_placements
     if placement.flip != optimal.flip:
         raise ValueError(
             f"placement {placement} is not optimal: the result is for flip "
             f"{optimal.flip.value}"
         )
-    target = target_set(start, placement)
-    source = start - target
-    if len(source) != result.min_moves:
-        shown = ", ".join(str(optimal.grid.shift(key)) for key in optimal._head(_SHIFTS_SHOWN))
+    key, pairs = optimal.grid.key(placement.shift), optimal.pairs
+    moving = set(pairs.ks)
+    if key is not None:
+        moving.difference_update(map(key.__sub__, pairs.kfs))
+    if len(moving) != result.min_moves:
+        shown = ", ".join(str(optimal.grid.shift(k)) for k in optimal._head(_SHIFTS_SHOWN))
         if len(optimal) > _SHIFTS_SHOWN:
             shown += ", ..."
         raise ValueError(
             f"placement {placement} is not optimal; the {len(optimal)} "
             f"optimal shifts are [{shown}]"
         )
-    return target, source
+    return moving
 
 
 def components(coins) -> tuple[Component, ...]:
@@ -277,12 +293,12 @@ def protrusions(
     if it is not one of its optimal ones.
     """
     start = as_coin_set(start)
-    target, source = _optimal_sets(start, placement, result)
-    source_components = components(source)
+    moving = _moving_keys(placement, result)
+    source_components = components(map(result.optimal_placements.grid.start_point, moving))
     return ProtrusionReport(
         placement=placement,
         source_components=source_components,
-        target_components=components(target - start),
+        target_components=components(target_set(start, placement) - start),
         size_multiset=_size_multiset((c.size for c in source_components), expected_parts),
     )
 
@@ -291,10 +307,13 @@ def protrusion_sizes(
     start, placement: Placement, expected_parts: Optional[int] = None, *, result: OverlapResult
 ) -> tuple[int, ...]:
     """protrusions(...).size_multiset, with the same checks, but without
-    the target components, the triangle classes or any Component record."""
-    start = as_coin_set(start)
-    _, source = _optimal_sets(start, placement, result)
-    return _size_multiset(map(len, connected_components(source)), expected_parts)
+    the target components, the triangle classes or any Component record.
+    The sizes are read off the result alone: its moving coin keys, flooded
+    in its grid's layout (`lattice.key_components`); no coin of `start`
+    is read."""
+    moving = _moving_keys(placement, result)
+    width = result.optimal_placements.grid.width
+    return _size_multiset(map(len, key_components(moving, width)), expected_parts)
 
 
 def _size_multiset(sizes, expected_parts: Optional[int]) -> tuple[int, ...]:
@@ -321,7 +340,7 @@ def move_plan(
     `result` and the check of the placement are as for protrusions().
     """
     start = as_coin_set(start)
-    target, source = _optimal_sets(start, placement, result)
-    froms = sorted(source)
-    tos = sorted(target - start)
+    moving = _moving_keys(placement, result)
+    froms = map(result.optimal_placements.grid.start_point, sorted(moving))
+    tos = sorted(target_set(start, placement) - start)
     return MovePlan(moves=tuple(zip(froms, tos)))

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coinflip import _scan, cli
-from coinflip._scan import BAND_PAIRS, Grid, PairKeys, box_grid, counter_scan
+from coinflip._scan import BAND_PAIRS, Grid, PairKeys, box_grid, counter_scan, point_keys
 from coinflip.lattice import Box, FlipKind, flip_points
 from coinflip.shapes import triangle_up
 
@@ -61,7 +61,7 @@ def hull_grid(start, flipped):
 def decoded(start, flipped, grid):
     """counter_scan's best and tied shifts, its keys decoded by `grid` in
     ascending order; each tied key comes out once."""
-    best, keys = counter_scan(start, flipped, grid)
+    best, keys = counter_scan(point_keys(start, flipped, grid))
     assert len(set(keys)) == len(keys)
     return best, list(map(grid.shift, sorted(keys)))
 
@@ -140,7 +140,7 @@ def test_the_counter_holds_one_band_at_a_time():
     grid = box_grid(Box.of(start), FlipKind.ROTATE_180)
     tracemalloc.start()
     try:
-        best, keys = counter_scan(start, flipped, grid)
+        best, keys = counter_scan(point_keys(start, flipped, grid))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -241,7 +241,7 @@ def assert_all_pairs_form_matches(band_pairs, start, flip):
     grid = hull_grid(start, flipped)
     CountingCounter.pairs = 0
     with patch.object(_scan, "BAND_PAIRS", band_pairs), patch.object(_scan, "Counter", CountingCounter):
-        best, keys = counter_scan(start, flipped, grid)
+        best, keys = counter_scan(point_keys(start, flipped, grid))
     listed = list(keys)
     assert len(set(listed)) == len(listed) == len(keys)
     assert (best, list(map(grid.shift, sorted(listed)))) == tuple_counter(start, flipped)
@@ -331,7 +331,7 @@ def test_an_all_tie_scan_keeps_no_tie_list():
     grid = box_grid(Box.of(start), FlipKind.MIRROR_HORIZONTAL)
     tracemalloc.start()
     try:
-        best, keys = counter_scan(start, flipped, grid)
+        best, keys = counter_scan(point_keys(start, flipped, grid))
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

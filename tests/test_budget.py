@@ -25,6 +25,7 @@ from coinflip._scan import (
     counter_scan,
     estimate_ns,
     kernel_for,
+    point_keys,
     product_scan,
     scan_pairs,
 )
@@ -183,7 +184,7 @@ def test_the_estimate_bounds_a_one_band_scan():
     with patch.object(_scan, "BAND_PAIRS", pairs):
         tracemalloc.start()
         try:
-            best, keys = counter_scan(start, flipped, grid)
+            best, keys = counter_scan(point_keys(start, flipped, grid))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -208,7 +209,7 @@ def test_scan_pairs_refuses_the_counter_before_it_runs(monkeypatch):
     assert exc.value.pairs == 100
     monkeypatch.setattr(_scan, "MAX_SCAN_BYTES", memory)
     monkeypatch.setattr(_scan, "counter_scan", lambda *args: ("best", "keys"))
-    assert scan_pairs(start, flipped, grid) == ("best", "keys")
+    assert scan_pairs(start, flipped, grid)[:2] == ("best", "keys")
 
 
 def test_cli_refuses_a_scan_over_the_memory_cap(capsys, monkeypatch, tmp_path):

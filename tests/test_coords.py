@@ -146,9 +146,15 @@ point_sets = st.frozensets(
     st.tuples(st.integers(-7, 7), st.integers(-7, 7)),
     max_size=60,
 )
+# one row and one column, whose b-span is 0 and 14
+rows = st.frozensets(st.integers(-7, 7), max_size=15).map(lambda xs: frozenset((a, 3) for a in xs))
+columns = st.frozensets(st.integers(-7, 7), max_size=15).map(lambda xs: frozenset((-2, b) for b in xs))
+# clusters near 0 among coins spread over ±2^70
+far_coords = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+far_flung = st.frozensets(st.tuples(far_coords, far_coords), max_size=40)
 
 
-@given(point_sets)
+@given(st.one_of(point_sets, rows, columns, far_flung))
 def test_components_match_the_set_based_search(points):
     expected = reference_components(points)
     assert connected_components(points) == expected  # same components, in the same order

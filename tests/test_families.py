@@ -172,6 +172,24 @@ def test_verify_dumps_a_rhombus_oracle_mismatch(capsys, monkeypatch):
     ))
 
 
+def test_verify_dumps_a_placement_count_mismatch(capsys, monkeypatch):
+    # keep only the first optimal placement of the 4-row rhombus under
+    # mirror-v, where C(2, 1) = 2 choose which part is the larger
+    real = cli.oracle.solve
+
+    def solve(coins, kind):
+        result = real(coins, kind)
+        if kind is FlipKind.MIRROR_VERTICAL and result.total_coins == 16:
+            result = result._replace(optimal_placements=result.optimal_placements[:1])
+        return result
+
+    monkeypatch.setattr(cli.oracle, "solve", solve)
+    assert run(capsys, ["verify", "5"]) == (1, _rows_before(4) + (
+        "FAIL at rows=4: rhombus optimal placements disagree with C(2, 1)\n"
+        "  mirror-h=2 mirror-v=1 expected=2\n"
+    ))
+
+
 def _skew_protrusions(monkeypatch, arity, total):
     """Make oracle.protrusions report an extra one-coin protrusion when
     asked for `arity` parts on a start shape of `total` coins."""

@@ -107,6 +107,7 @@ def test_connected_components_splits_distant_point():
 
 def test_connected_components_of_empty_set_is_empty():
     assert connected_components(frozenset()) == []
+    assert connected_components([]) == []
 
 
 @given(point_sets)

@@ -14,14 +14,16 @@ from coinflip._scan import (
     box_grid,
     counter_scan,
     kernel_for,
+    point_keys,
     product_scan,
     scan_pairs,
 )
-from coinflip.lattice import NEIGHBOR_OFFSETS, Box, FlipKind, flip_points
+from coinflip.lattice import NEIGHBOR_OFFSETS, Box, FlipKind, connected_components, flip_points
 from coinflip.oracle import (
     MovePlan,
     Placement,
     Placements,
+    _size_multiset,
     backend,
     move_plan,
     protrusion_sizes,
@@ -197,8 +199,8 @@ def in_order(scan):
 
 
 def assert_kernels_agree(start, flipped, grid):
-    product = in_order(product_scan(start, flipped, grid))
-    assert product == in_order(counter_scan(start, flipped, grid))
+    product = in_order(product_scan(point_keys(start, flipped, grid)))
+    assert product == in_order(counter_scan(point_keys(start, flipped, grid)))
 
 
 def test_product_and_counter_kernels_agree():
@@ -357,9 +359,9 @@ def check_against_a_tuple_counter(points, flip, data):
     counts = Counter((sa - fa, sb - fb) for sa, sb in start for fa, fb in flipped)
     best = max(counts.values())
     expected = sorted(t for t, c in counts.items() if c == best)
-    overlap, keys = in_order(counter_scan(start, flipped, grid))
+    overlap, keys = in_order(counter_scan(point_keys(start, flipped, grid)))
     assert (overlap, list(map(grid.shift, keys))) == (best, expected)
-    assert in_order(scan_pairs(start, flipped, grid)) == (best, keys)
+    assert in_order(scan_pairs(start, flipped, grid)[:2]) == (best, keys)
 
     result = solve(points, flip)
     placements = result.optimal_placements
@@ -508,7 +510,7 @@ def test_far_flung_rejection_lists_few_shifts():
     assert isinstance(keys, PairKeys)
     # the same keys, through a spy that counts how often they are iterated
     spy = CountedPairKeys(keys.ks, keys.kfs, keys.half)
-    placements = Placements(FlipKind.MIRROR_HORIZONTAL, spy, result.optimal_placements.grid)
+    placements = Placements(FlipKind.MIRROR_HORIZONTAL, spy, result.optimal_placements.grid, spy)
     result = result._replace(optimal_placements=placements)
     assert len(placements) == 120 * 120
     bad = Placement(FlipKind.MIRROR_HORIZONTAL, (2**50, 0))
@@ -583,13 +585,15 @@ KEY_GRID = Grid(
     width=7, start_rows=5, flipped_rows=5,
     start_a=0, start_b=0, flipped_a=0, flipped_b=0,
 )
+# coin keys whose pairs sum to the keys above
+KEY_PAIRS = PairKeys([0, 27], [3, 6, 9], False)
 
 
 def listed_placements():
     """Placements over an ascending list of keys, as the kernels return
     them, and the list it holds."""
     keys = list(ASCENDING_KEYS)
-    return Placements(FlipKind.MIRROR_VERTICAL, keys, KEY_GRID), keys
+    return Placements(FlipKind.MIRROR_VERTICAL, keys, KEY_GRID, KEY_PAIRS), keys
 
 
 class CountedPairKeys(PairKeys):
@@ -615,7 +619,7 @@ def all_pairs_placements():
         keys = CountedPairKeys(ks, kfs, half)
         assert sorted(keys) == ASCENDING_KEYS and list(keys) != ASCENDING_KEYS
         keys.iterations = 0
-        yield Placements(FlipKind.MIRROR_VERTICAL, keys, KEY_GRID), keys
+        yield Placements(FlipKind.MIRROR_VERTICAL, keys, KEY_GRID, keys), keys
 
 
 ASCENDING = tuple(
@@ -630,7 +634,7 @@ def test_len_and_the_first_placement_leave_the_keys_unsorted():
     assert placements.keys is keys and keys == ASCENDING_KEYS
     # a list is held as given: Placements never reorders it
     keys = list(UNSORTED_KEYS)
-    placements = Placements(FlipKind.MIRROR_VERTICAL, keys, KEY_GRID)
+    placements = Placements(FlipKind.MIRROR_VERTICAL, keys, KEY_GRID, KEY_PAIRS)
     assert placements.keys is keys and keys == UNSORTED_KEYS
     for placements, keys in all_pairs_placements():
         assert len(placements) == len(UNSORTED_KEYS)
@@ -716,7 +720,7 @@ def assert_membership_is_a_scan(placements, probes):
     the keys as they are held."""
     held = placements._keys
     listed = sorted(held) if isinstance(held, PairKeys) else list(held)
-    scanned = set(Placements(placements.flip, listed, placements.grid))
+    scanned = set(Placements(placements.flip, listed, placements.grid, placements.pairs))
     for value in probes:
         assert (value in placements) == (value in scanned), value
     assert placements._keys is held
@@ -740,7 +744,8 @@ def test_membership_agrees_with_a_scan_on_every_small_family():
                 w = grid.width
                 ks = sorted((a - grid.start_a) * w + b - grid.start_b for a, b in sorted_start)
                 kfs = sorted((grid.flipped_a - a) * w + grid.flipped_b - b for a, b in flipped)
-                pairs = Placements(flip, PairKeys(ks, kfs, ks == kfs), grid)
+                all_pairs = PairKeys(ks, kfs, ks == kfs)
+                pairs = Placements(flip, all_pairs, grid, all_pairs)
                 assert_membership_is_a_scan(pairs, membership_probes(window(grid)))
 
 
@@ -822,6 +827,47 @@ def test_protrusion_sizes_match_the_report_on_every_family():
 @settings(max_examples=80, deadline=None)
 def test_protrusion_sizes_match_the_report_on_blobs(start, flip):
     assert_sizes_are_the_report_sizes(start, flip)
+
+
+FAR = 2**70
+small_blobs = st.lists(st.tuples(st.integers(0, 63), st.integers(0, 5)), max_size=7).map(grown_blob)
+
+
+def placed(blobs, offsets):
+    """The blobs, each moved by its offset."""
+    return frozenset((a + da, b + db) for blob, (da, db) in zip(blobs, offsets) for a, b in blob)
+
+
+# a single row has key width 1, where the steps ±1 and ±width coincide
+# and ±(width - 1) is 0; a single column holds one coin per row of keys
+one_rows = st.frozensets(st.integers(-30, 30), min_size=1, max_size=25).map(
+    lambda xs: frozenset((a, 4) for a in xs)
+)
+one_columns = st.frozensets(st.integers(-30, 30), min_size=1, max_size=25).map(
+    lambda xs: frozenset((-2, b) for b in xs)
+)
+separate_blobs = st.lists(small_blobs, min_size=2, max_size=4).map(
+    lambda blobs: placed(blobs, [(20 * i, -7 * i) for i in range(len(blobs))])
+)
+far_clusters = st.tuples(small_blobs, small_blobs, small_blobs).map(
+    lambda blobs: placed(blobs, [(-FAR, FAR), (3, -5), (FAR, -FAR)])
+)
+
+
+@given(st.one_of(one_rows, one_columns, separate_blobs, far_clusters), st.sampled_from(list(FlipKind)))
+@settings(max_examples=150, deadline=None)
+def test_keyed_moving_sizes_match_a_tuple_flood(start, flip):
+    # the moving coins found and flooded as keys in the scan's layout, against
+    # the start coins outside the target set, flooded as coins; decoded, the
+    # moving keys are those coins in order
+    result = solve(start, flip)
+    placements = result.optimal_placements
+    for placement in (*placements[:40], placements[-1]):
+        moved = start - target_set(start, placement)
+        expected = _size_multiset(map(len, connected_components(moved)), None)
+        assert protrusion_sizes(start, placement, result=result) == expected
+        plan = move_plan(start, placement, result=result)
+        assert [coin for coin, _ in plan.moves] == sorted(moved)
 
 
 def test_protrusions_reject_too_many_parts():
