@@ -13,8 +13,9 @@ H = span_b(S) + span_b(F) + 1, a shift (da, db) has key
 ascending (da, db). A start point has key (a - min_a S)·H + (b - min_b S),
 a flipped point (max_a F - a)·H + (max_b F - b), and a pair's key is the
 sum of the two. `point_keys` alone maps points to keys: both point sets,
-once per scan, sorted, as a `PairKeys`. Callers decode a shift key with
-`Grid.shift` and a start point's key with `Grid.start_point`.
+once per scan, sorted, as a `PairKeys`; an image (`lattice.Image`) from
+its coins, and a half-turn image as the start keys. Callers decode a
+shift key with `Grid.shift` and a start point's key with `Grid.start_point`.
 
 Two pure-Python kernels run on those keys, compute the overlap exactly
 and return the same overlap and the same tied keys:
@@ -47,9 +48,9 @@ stay on the Counter. `kernel_for` refuses, before either kernel
 allocates anything, a scan estimated to take longer than MAX_SCAN_NS, or
 a Counter scan whose keys could need more than MAX_SCAN_BYTES
 (`counter_bytes`). A flip maps a shape's `lattice.Box` hull onto its
-image's (`Box.flip`), so the grid is `box_grid(hull, flip)`, the one
-call with which `oracle.solve` scans and the CLI checks a shape before
-building it.
+image's (`Box.flip`), so the grid is `box_grid(hull, flip)`: the CLI
+checks a shape with it before building it, and `oracle.solve` scans with
+it, from the same hull.
 """
 
 import math
@@ -60,7 +61,7 @@ from collections import Counter
 from itertools import compress
 from typing import NamedTuple
 
-from coinflip.lattice import Box, FlipKind
+from coinflip.lattice import Box, FlipKind, Image
 
 # Cost model, in nanoseconds, measured on CPython 3.11 on a 2-core x86
 # VM. The Counter spends about 400 ns per pair, charged for all |S|·|F|
@@ -401,10 +402,11 @@ def kernel_for(grid: Grid, pairs: int):
     first. It reads only the grid and the pair count, so a caller that
     knows them can check a scan before building its points.
     """
-    cost = estimate_ns(grid, pairs)
+    product = _product_ns(grid, pairs)
+    cost = min(product, _NS_PER_PAIR * pairs)  # estimate_ns
     if cost > MAX_SCAN_NS:
         raise ScanBudgetError(cost, pairs)
-    if _product_ns(grid, pairs) <= cost:
+    if product <= cost:
         return product_scan
     memory = counter_bytes(grid, pairs)
     if memory > MAX_SCAN_BYTES:
@@ -415,15 +417,23 @@ def kernel_for(grid: Grid, pairs: int):
 def point_keys(start, flipped, grid: Grid) -> PairKeys:
     """The sorted keys of the start points and of the flipped points in the
     `grid` layout, as the `PairKeys` of every pair: a start point (a, b) has
-    key (a - grid.start_a)·width + (b - grid.start_b), a flipped point
-    (grid.flipped_a - a)·width + (grid.flipped_b - b). Equal lists are one
-    list, a half count."""
+    key (a - grid.start_a)·W + (b - grid.start_b), a flipped point f0 - a·W - b,
+    with W = grid.width and f0 = grid.flipped_a·W + grid.flipped_b. Equal
+    lists are one list, a half count. Since a flip (p, q, r, s) is linear, a
+    `lattice.Image` is keyed from its coins, f0 - a·(p·W + r) - b·(q·W + s),
+    and the start points' own half-turn image has exactly the start keys
+    (f0 = -s0 in `box_grid`), so those are sorted once and not compared."""
     width = grid.width
     s0 = grid.start_a * width + grid.start_b
     f0 = grid.flipped_a * width + grid.flipped_b
     ks = [a * width + b - s0 for a, b in start]
-    kfs = [f0 - a * width - b for a, b in flipped]
     ks.sort()
+    is_image = isinstance(flipped, Image)  # plain points are the identity flip
+    coins, (p, q, r, s) = (flipped.coins, flipped.matrix) if is_image else (flipped, (1, 0, 0, 1))
+    u, v = p * width + r, q * width + s
+    if coins is start and (u, v, f0) == (-width, -1, -s0):
+        return PairKeys(ks, ks, True)
+    kfs = [f0 - a * u - b * v for a, b in coins]
     kfs.sort()
     half = ks == kfs
     return PairKeys(ks, ks if half else kfs, half)

@@ -158,8 +158,8 @@ def _multiset_text(sizes) -> str:
 
 
 def cmd_solve(args) -> int:
-    label, family, coins, _, (flip,) = _resolve_shape(args)
-    result = oracle.solve(coins, flip)
+    label, family, coins, box, (flip,) = _resolve_shape(args)
+    result = oracle.solve(coins, flip, box)
     canonical = result.optimal_placements[0]
     parts = len(family.formula("new")(args.size).parts) if family and family.is_puzzle else None
     sizes = oracle.protrusion_sizes(coins, canonical, expected_parts=parts, result=result)
@@ -193,8 +193,8 @@ def cmd_table(args) -> int:
 def cmd_render(args) -> int:
     from coinflip import render  # only this command draws; the others skip loading it
 
-    _, _, coins, _, (flip,) = _resolve_shape(args)
-    result = oracle.solve(coins, flip)
+    _, _, coins, box, (flip,) = _resolve_shape(args)
+    result = oracle.solve(coins, flip, box)
     count = len(result.optimal_placements)
     if not 0 <= args.placement < count:
         raise UsageError(
@@ -262,8 +262,8 @@ def cmd_verify(args) -> int:
                     n, f"{name} formulas disagree",
                     f"  old={old} new={new.moves} polynomial={poly}",
                 )
-            coins = shapes.build(name, n)
-            results = [oracle.solve(coins, flip) for flip in flips]
+            coins, box = shapes.build(name, n), family.box(n)
+            results = [oracle.solve(coins, flip, box) for flip in flips]
             if any(r.min_moves != new.moves for r in results):
                 found = " ".join(f"{f.value}={r.min_moves}" for f, r in zip(flips, results))
                 return _verify_fail(
@@ -312,14 +312,14 @@ def cmd_analyze(args) -> int:
         desc = f"{cls[0]} triangle, {cls[1]} rows" if cls else "not a triangle"
         print(f"  component {i}: {size} coins, {desc}")
     for flip in flips:
-        print(_flip_summary(coins, flip))
+        print(_flip_summary(coins, flip, box))
     return 0
 
 
-def _flip_summary(coins, flip: FlipKind) -> str:
+def _flip_summary(coins, flip: FlipKind, box: Box) -> str:
     """analyze's line for one flip. Its result, which can hold hundreds of
     thousands of tied shifts, is freed on return, before the next solve."""
-    result = oracle.solve(coins, flip)
+    result = oracle.solve(coins, flip, box)
     sizes = oracle.protrusion_sizes(coins, result.optimal_placements[0], result=result)
     return (
         f"flip {flip.value}: {result.min_moves} moves, "

@@ -6,7 +6,7 @@ distance a*a + a*b + b*b equals 1. Everything here is exact integer
 arithmetic; the float embedding exists only for drawing.
 
 A flip (FlipKind) reaches coins through `flip_points`, which flips and
-then shifts them, and boxes through `Box.flip`.
+then shifts them (or `Image`, which builds nothing), and boxes through `Box.flip`.
 
 Touching clusters are found on integer keys, not tuples: with a·width + b
 as a coin's key and a width that leaves a free cell after each row (or
@@ -121,6 +121,22 @@ def flip_points(coins, flip: FlipKind, shift=(0, 0)) -> list[tuple[int, int]]:
     p, q, r, s = _FLIP_MATRICES[flip]
     da, db = shift
     return [(p * a + q * b + da, r * a + s * b + db) for a, b in coins]
+
+
+class Image:
+    """`flip_points(coins, flip)`, built only when iterated. `matrix` is the
+    flip's (p, q, r, s), so that `_scan.point_keys` keys it from the coins."""
+
+    __slots__ = ("coins", "flip", "matrix")
+
+    def __init__(self, coins, flip: FlipKind):
+        self.coins, self.flip, self.matrix = coins, flip, _FLIP_MATRICES[flip]
+
+    def __len__(self) -> int:
+        return len(self.coins)
+
+    def __iter__(self):
+        return iter(flip_points(self.coins, self.flip))
 
 
 def distance_sq(c, d) -> int:

@@ -13,16 +13,16 @@ coin pairs for sparse or far-flung ones. A cost model read off the
 bounding boxes picks between them per call.
 
 Inside a solve, every coin and every shift is one integer key in the
-scan's `_scan.Grid` layout, and ascending keys are ascending (a, b) or
-(da, db). The scan maps the coins and their image to sorted keys once
-(`_scan.point_keys`), and solve() keeps those keys, as a `_scan.PairKeys`,
-with the tie keys the scan returned: an ascending list or, when every
-coin pair ties, that same `PairKeys`. A far-flung shape can tie hundreds
-of thousands of shifts, so `Placements` decodes a placement through the
-grid (`Grid.shift`) only when it is read, and lists a `PairKeys` only
-for a read past its least few keys: the count and the first placement,
-all that `analyze` and `solve` read, `in`, and a rejection's five least
-shifts never list it.
+scan's `_scan.Grid` layout, taken from the box that the CLI already has,
+and ascending keys are ascending (a, b) or (da, db). The scan keys the
+coins and their image once (`_scan.point_keys`), the image from the
+coins without building it (`lattice.Image`). solve() keeps those keys,
+as a `_scan.PairKeys`, with the tie keys the scan returned: an ascending
+list or, when every coin pair ties, that same `PairKeys`. A far-flung
+shape can tie hundreds of thousands of shifts, so `Placements` decodes a
+placement (`Grid.shift`) only when it is read, and lists a `PairKeys`
+only for a read past its least few keys: the count, the first placement,
+`in` and a rejection's five least shifts never list it.
 
 Both kernels are exact, so a placement under the solved flip is optimal
 exactly when it moves min_moves coins. One check (`_moving_keys`) serves
@@ -52,6 +52,7 @@ from coinflip import _scan
 from coinflip.lattice import (
     Box,
     FlipKind,
+    Image,
     as_coin_set,
     classify_triangle,
     connected_components,
@@ -208,19 +209,20 @@ def target_set(start, placement: Placement) -> frozenset:
     return frozenset(flip_points(start, placement.flip, placement.shift))
 
 
-def solve(start, flip: FlipKind) -> OverlapResult:
+def solve(start, flip: FlipKind, box: Optional[Box] = None) -> OverlapResult:
     """Exhaustive search for the minimum number of moves.
 
     Every translation achieving any overlap at all is evaluated, so the
     reported maximum is exact and optimal_placements holds all maximizing
     shifts in ascending (da, db) order, as a lazy read-only sequence.
-    The scan's grid is `_scan.box_grid(Box.of(start), flip)`.
+    The scan's grid is `_scan.box_grid(box, flip)`, where `box` is
+    `Box.of(start)`, computed here unless the caller already has it.
     """
     start = as_coin_set(start)
     if not start:
         raise ValueError("cannot solve an empty coin set")
-    grid = _scan.box_grid(Box.of(start), flip)
-    best, keys, pairs = _scan.scan_pairs(start, flip_points(start, flip), grid)
+    grid = _scan.box_grid(Box.of(start) if box is None else box, flip)
+    best, keys, pairs = _scan.scan_pairs(start, Image(start, flip), grid)
     return OverlapResult(
         total_coins=len(start),
         max_overlap=best,

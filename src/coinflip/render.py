@@ -2,12 +2,13 @@
 
 Both renderers draw the union of the start shape and the placed image
 with three marks: coins that stay (overlap), coins that must move out
-(start only), and the holes they move into (image only).
+(start only), and the holes they move into (image only). The SVG formats
+each row's and each column's coordinate once, not once per coin.
 """
 
 from __future__ import annotations
 
-from coinflip.lattice import SQRT3, Box, as_coin_set, embed
+from coinflip.lattice import SQRT3, Box, as_coin_set
 
 ASCII_GLYPHS = {"stay": "O", "source": ".", "target": "*"}
 
@@ -109,9 +110,13 @@ def svg_diagram(start, target) -> str:
         f'width="{width * 24:.0f}" height="{height * 24:.0f}">',
         f"  <style>\n{_SVG_STYLE}\n  </style>",
     ]
-    for c in sorted(cells):
-        x, y = embed(c)
-        out.append(f'  <circle class="{cells[c]}" cx="{x:.4f}" cy="{-y:.4f}" r="0.5"/>')
+    # `embed`'s centre, y negated: a + b/2 is column / 2, exact below MAX_SVG_COORD
+    cx = {col: f"{col / 2.0:.4f}" for col in {2 * a + b for a, b in cells}}
+    cy = {b: f"{-(b * (SQRT3 / 2.0)):.4f}" for b in {b for _, b in cells}}
+    out += [
+        f'  <circle class="{cells[a, b]}" cx="{cx[2 * a + b]}" cy="{cy[b]}" r="0.5"/>'
+        for a, b in sorted(cells)
+    ]
     legend_y = bottom + 1.6
     for dx, kind, label in (
         (0.0, "stay", "stays"),

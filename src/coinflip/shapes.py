@@ -2,7 +2,8 @@
 file format.
 
 A generated shape is a family of FAMILIES and a size: `build(name, n)`.
-Any other shape is read from a shape file by `load_custom`.
+Any other shape is read from a shape file by `load_custom`, which checks
+a valid text in one pass and reads a faulty one line by line.
 """
 
 from __future__ import annotations
@@ -16,7 +17,12 @@ from coinflip.lattice import Box, FlipKind
 # The shape-file line grammar, once the line's padding is stripped. int()
 # alone would also take "1_0", "+3" and non-ASCII digits, and str.split()
 # and str.strip() every Unicode blank, such as a form feed or an NBSP.
-_COORDS = re.compile(r"(-?[0-9]+)[ \t]+(-?[0-9]+)")
+_PAIR = r"-?[0-9]+[ \t]+-?[0-9]+"
+# A whole text: lines of padding, then a pair, a comment or nothing, each
+# ended by an LF or a CRLF but the last. Each line matches one way only, so
+# a bad text fails in linear time. re compiles and caches them on first use.
+_LINE = rf"[ \t]*(?:{_PAIR}[ \t]*|#[^\r\n]*|)"
+_TEXT = rf"(?:{_LINE}\r?\n)*{_LINE}"
 
 
 class ShapeFormatError(ValueError):
@@ -35,34 +41,45 @@ def load_custom(source: str) -> frozenset:
 
     `#` starts a comment line; blank lines are ignored; a CR is accepted
     only before an LF. Duplicate coordinates and empty shapes are rejected.
+
+    One match checks the whole text. Past it, a `#` starts a comment, so the
+    text with each `#` cut to its line's end splits into the coordinates.
+    Only a text that fails, or holds a duplicate, a number past int()'s
+    digit limit or no coin, is read line by line, to name its faulty line.
     """
-    coins: dict[tuple[int, int], int] = {}
+    if re.fullmatch(_TEXT, source):
+        try:
+            numbers = list(map(int, re.sub(r"#[^\n]*", "", source).split()))
+        except ValueError:  # past int()'s digit limit
+            numbers = []
+        pairs = iter(numbers)
+        coins = frozenset(zip(pairs, pairs))
+        if coins and 2 * len(coins) == len(numbers):
+            return coins
+    seen: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(source.replace("\r\n", "\n").split("\n"), start=1):
         if "\r" in raw:
             raise ShapeFormatError("stray carriage return; only CRLF may end a line", lineno)
         line = raw.strip(" \t")
         if not line or line.startswith("#"):
             continue
-        fields = _COORDS.fullmatch(line)
         try:
-            if fields is None:
+            if not re.fullmatch(_PAIR, line):
                 raise ValueError
             # int() still refuses numbers past its digit limit
-            coord = (int(fields[1]), int(fields[2]))
+            coord = tuple(map(int, line.split()))
         except ValueError:
             raise ShapeFormatError(
                 f"expected two integers `a b`, got {line!r}", lineno
             ) from None
-        if coord in coins:
+        if coord in seen:
             raise ShapeFormatError(
                 f"duplicate coordinate {coord[0]} {coord[1]} "
-                f"(first seen on line {coins[coord]})",
+                f"(first seen on line {seen[coord]})",
                 lineno,
             )
-        coins[coord] = lineno
-    if not coins:
-        raise ShapeFormatError("shape file contains no coins")
-    return frozenset(coins)
+        seen[coord] = lineno
+    raise ShapeFormatError("shape file contains no coins")
 
 
 class Family(NamedTuple):

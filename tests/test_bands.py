@@ -345,9 +345,9 @@ def test_analyze_frees_each_flip_before_the_next_solve(capsys, monkeypatch, tmp_
     path.write_text("".join(f"{a} {b}\n" for a, b in far_flung(40, 3)))
     solve, earlier = cli.oracle.solve, []
 
-    def solve_alone(coins, flip):
+    def solve_alone(coins, flip, box=None):
         assert all(ref() is None for ref in earlier), "an earlier result is still alive"
-        result = solve(coins, flip)
+        result = solve(coins, flip, box)
         earlier.append(weakref.ref(result.optimal_placements))
         return result
 

@@ -64,12 +64,43 @@ def test_solve_scans_the_grid_the_cli_checks():
 
 
 def test_solve_takes_one_hull_per_call():
-    # the image's hull is the flipped hull of the coins, not measured again
+    # the image's hull is the flipped hull of the coins, not measured again,
+    # and a hull the caller gives is not measured at all
     for shape in (triangle_up(5), frozenset({(0, 0), (1, 0), (2**40, -3)})):
+        box = Box.of(shape)
         for flip in FlipKind:
             with patch.object(Box, "of", wraps=Box.of) as hull:
                 solve(shape, flip)
             assert hull.call_count == 1
+            with patch.object(Box, "of", wraps=Box.of) as hull:
+                solve(shape, flip, box)
+            assert hull.call_count == 0
+
+
+def test_every_command_solves_from_the_box_it_has(monkeypatch, tmp_path, capsys):
+    # solve, render, analyze and verify hand oracle.solve the box they have
+    # (the family's, or the parsed file's), so no solve measures it again
+    real, boxes = oracle.solve, []
+
+    def solve_from_box(coins, flip, box=None):
+        assert box == Box.of(coins)
+        boxes.append(box)
+        return real(coins, flip, box)
+
+    monkeypatch.setattr(cli.oracle, "solve", solve_from_box)
+    path = tmp_path / "two.txt"
+    path.write_text("0 0\n1 0\n5 5\n")
+    for argv, solves in (
+        (["solve", "triangle", "5", "--moves"], 1),
+        (["render", "rhombus", "4", "--format", "svg"], 1),
+        (["analyze", "--shape-file", str(path)], 3),
+        (["analyze", "hexagon", "3"], 3),
+        (["verify", "4"], 4 * 3),
+    ):
+        boxes.clear()
+        assert cli.main(argv) == 0
+        assert len(boxes) == solves, argv
+    capsys.readouterr()
 
 
 def test_dense_fall_off_starts_at_1025_rows():

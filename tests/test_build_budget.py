@@ -78,7 +78,7 @@ def test_verify_checks_its_last_row_before_its_first(capsys, monkeypatch):
     # up-front check the sweep would scan rows 1-836 for about 12 h first
     refuse_to_build(monkeypatch)
 
-    def solve(coins, flip):
+    def solve(coins, flip, box=None):
         raise AssertionError("verify solved a row before checking its last")
 
     monkeypatch.setattr(cli.oracle, "solve", solve)

@@ -147,8 +147,8 @@ def _skew_solve(monkeypatch, flip, total):
     `total` coins."""
     real = cli.oracle.solve
 
-    def solve(coins, kind):
-        result = real(coins, kind)
+    def solve(coins, kind, box=None):
+        result = real(coins, kind, box)
         if kind is flip and result.total_coins == total:
             result = result._replace(min_moves=result.min_moves + 1)
         return result
@@ -177,8 +177,8 @@ def test_verify_dumps_a_placement_count_mismatch(capsys, monkeypatch):
     # mirror-v, where C(2, 1) = 2 choose which part is the larger
     real = cli.oracle.solve
 
-    def solve(coins, kind):
-        result = real(coins, kind)
+    def solve(coins, kind, box=None):
+        result = real(coins, kind, box)
         if kind is FlipKind.MIRROR_VERTICAL and result.total_coins == 16:
             result = result._replace(optimal_placements=result.optimal_placements[:1])
         return result

@@ -870,6 +870,30 @@ def test_keyed_moving_sizes_match_a_tuple_flood(start, flip):
         assert [coin for coin, _ in plan.moves] == sorted(moved)
 
 
+def pair_keys_state(keys):
+    """A tie list, or a `PairKeys` as its two key lists and its half flag."""
+    if isinstance(keys, PairKeys):
+        return "PairKeys", keys.ks, keys.kfs, keys.half
+    return "list", keys
+
+
+@given(st.one_of(one_rows, one_columns, far_clusters, point_sets), st.sampled_from(list(FlipKind)))
+@settings(max_examples=150, deadline=None)
+def test_solving_from_the_given_box_is_solving_from_the_coins(start, flip):
+    # the CLI passes the box it already has; the result, tie keys and pair
+    # keys included, is the one solve() finds from Box.of(start)
+    alone, boxed = solve(start, flip), solve(start, flip, Box.of(start))
+    assert boxed == alone
+    assert boxed[:3] == alone[:3]
+    ours, theirs = boxed.optimal_placements, alone.optimal_placements
+    assert ours.grid == theirs.grid == box_grid(Box.of(start), flip)
+    assert pair_keys_state(ours._keys) == pair_keys_state(theirs._keys)
+    assert pair_keys_state(ours.pairs) == pair_keys_state(theirs.pairs)
+    # the image keyed from the coins is the image keyed from its tuples
+    by_points = point_keys(start, flip_points(start, flip), ours.grid)
+    assert pair_keys_state(ours.pairs) == pair_keys_state(by_points)
+
+
 def test_protrusions_reject_too_many_parts():
     # coins on the a-axis with all pairwise coordinate sums distinct: a half
     # turn can match at most two of them, so four isolated coins are left

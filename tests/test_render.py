@@ -1,10 +1,10 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coinflip import cli
-from coinflip.lattice import FlipKind
+from coinflip.lattice import FlipKind, embed
 from coinflip.oracle import solve, target_set
 from coinflip.render import (
     ASCII_GLYPHS,
@@ -213,3 +213,31 @@ def test_svg_bytes_of_a_far_flung_shape(flip, capsys, tmp_path):
     out = capsys.readouterr().out
     assert out.split("\n", 1)[0] == FAR_SVG_HEAD
     assert hashlib.sha256(out.encode()).hexdigest() == FAR_SVG_SHA256[flip]
+
+
+def per_coin_circles(start, target) -> list[str]:
+    """The coin circles as svg_diagram drew them one coin at a time, each
+    centre through `embed`: the reference for its once-per-row and
+    once-per-column formatting."""
+    cells = classify_cells(start, target)
+    lines = []
+    for c in sorted(cells):
+        x, y = embed(c)
+        lines.append(f'  <circle class="{cells[c]}" cx="{x:.4f}" cy="{-y:.4f}" r="0.5"/>')
+    return lines
+
+
+NEAR = MAX_SVG_COORD - 1
+svg_coords = st.one_of(
+    st.integers(-4, 4), st.integers(NEAR - 3, NEAR), st.integers(-NEAR, -NEAR + 3)
+)
+svg_sets = st.frozensets(st.tuples(svg_coords, svg_coords), min_size=1, max_size=12)
+
+
+@given(svg_sets, svg_sets)
+@example(frozenset({(0, -1)}), frozenset({(0, 0)}))  # cx = -0.5
+@example(frozenset({(NEAR, NEAR), (-NEAR, -NEAR)}), frozenset({(NEAR, -NEAR), (-NEAR, NEAR)}))
+@settings(max_examples=150, deadline=None)
+def test_svg_circles_match_a_per_coin_formatter(start, target):
+    doc = svg_diagram(start, target).split("\n")
+    assert [line for line in doc if line.endswith('r="0.5"/>')] == per_coin_circles(start, target)

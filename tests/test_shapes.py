@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coinflip.lattice import FlipKind, connected_components
 from coinflip.oracle import Placement, target_set
@@ -176,3 +178,83 @@ def test_protrusion_arity_per_family():
         assert len(FAMILIES["triangle"].formula("new")(n).parts) == 3
         assert len(FAMILIES["rhombus"].formula("new")(n).parts) == 2
     assert not FAMILIES["hexagon"].is_puzzle
+
+
+_OLD_COORDS = re.compile(r"(-?[0-9]+)[ \t]+(-?[0-9]+)")
+
+
+def per_line_parse(source: str) -> frozenset:
+    """The shape-file parser as one loop over the lines: the reference for
+    load_custom's one-pass read."""
+    coins: dict[tuple[int, int], int] = {}
+    for lineno, raw in enumerate(source.replace("\r\n", "\n").split("\n"), start=1):
+        if "\r" in raw:
+            raise ShapeFormatError("stray carriage return; only CRLF may end a line", lineno)
+        line = raw.strip(" \t")
+        if not line or line.startswith("#"):
+            continue
+        fields = _OLD_COORDS.fullmatch(line)
+        try:
+            if fields is None:
+                raise ValueError
+            coord = (int(fields[1]), int(fields[2]))
+        except ValueError:
+            raise ShapeFormatError(f"expected two integers `a b`, got {line!r}", lineno) from None
+        if coord in coins:
+            raise ShapeFormatError(
+                f"duplicate coordinate {coord[0]} {coord[1]} (first seen on line {coins[coord]})",
+                lineno,
+            )
+        coins[coord] = lineno
+    if not coins:
+        raise ShapeFormatError("shape file contains no coins")
+    return frozenset(coins)
+
+
+def parsed(parse, text):
+    try:
+        return parse(text)
+    except ShapeFormatError as exc:
+        return str(exc)
+
+
+LINE_FRAGMENTS = [
+    # valid: pairs with padding and tabs, -0, comments, blank lines
+    "0 0", "1 0", "-3 4", "  5\t-6  ", "\t7 8", "-0 0", "0 -0", "007 12",
+    "# a comment", "  # 1 2 3", "#", "#\t\xa0é 1", "", "   ", "\t",
+    # invalid: a sign, an underscore, non-ASCII digits and blanks, a
+    # trailing comment, a wrong field count, a number past int()'s digit limit
+    "+3 1", "1_0 2", "١ 2", "1\xa02", "\xa01 2", "1 2\x0c", "1 2 # c", "1 2 3",
+    "1", "x y", "- 1 2", "1 -", "1" * 5000 + " 0",
+]
+LINE_ENDS = ["\n", "\r\n", "\r", "\r\r\n"]
+shape_texts = st.lists(
+    st.tuples(st.sampled_from(LINE_FRAGMENTS), st.sampled_from(LINE_ENDS)), max_size=12
+).map(lambda lines: "".join(f + end for f, end in lines)) | st.lists(
+    st.sampled_from(LINE_FRAGMENTS[:15]), min_size=1, max_size=12
+).map(lambda lines: "\n".join(lines))  # no final newline
+
+
+@given(shape_texts)
+@settings(max_examples=400, deadline=None)
+def test_one_pass_read_matches_the_per_line_parser(text):
+    assert parsed(load_custom, text) == parsed(per_line_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "  # crlf\r\n\t1\t2 \r\n\r\n-0 0\r\n 3  -1\t\r\n# end\r\n5 5",
+        "0 0\n1 0\r2 0\n",
+        "0 0\n+3 1\n",
+        "0 0\n1\xa00\n",
+        "0 0\n1 0\n0 0\n",
+        "1" * 5000 + " 0\n",
+        "# only\n\n",
+        "",
+    ],
+    ids=["crlf-padding-no-final-lf", "stray-cr", "plus", "nbsp", "duplicate", "digit-limit",
+         "comments-only", "empty"],
+)
+def test_one_pass_read_matches_the_per_line_parser_at_the_edges(text):
+    assert parsed(load_custom, text) == parsed(per_line_parse, text)
