@@ -17,7 +17,7 @@ once per scan, sorted, as a `PairKeys`; an image (`lattice.Image`) from
 its coins, and a half-turn image as the start keys. Callers decode a
 shift key with `Grid.shift` and a start point's key with `Grid.start_point`.
 
-Two pure-Python kernels run on those keys, compute the overlap exactly
+Three pure-Python kernels run on those keys, compute the overlap exactly
 and return the same overlap and the same tied keys:
 
 - `counter_scan`, the reference kernel: Counters over the pair keys of
@@ -27,6 +27,13 @@ and return the same overlap and the same tied keys:
   alone. When the image is a translate of the shape's point reflection,
   as under rot180 always, the start and flipped keys are equal, and it
   counts each of the |S|(|S| - 1)/2 unordered pairs once.
+- `difference_scan`, the pair kernel that runs: in a full count, pairs
+  (i, j) and (k, l) share a key exactly when ks[i] - ks[k] equals
+  kfs[l] - kfs[j], so it compares the differences of the start keys
+  with those of the flipped keys, and runs `counter_scan` on only the
+  flipped rows in such a collision, or returns every pair as tied when
+  there is none. A half count, or a scan in which most rows collide,
+  goes to `counter_scan` whole.
 - `product_scan`: Kronecker substitution. Each key list becomes a 0/1
   grid, one row of H cells per a, packed into the digits of one big
   integer, so a cell's index is its key, and a single CPython
@@ -34,19 +41,19 @@ and return the same overlap and the same tied keys:
   lists, as under rot180, are squared. Its cost follows the grid size,
   and each cell is sized from the pair count alone (`_cell_bytes`).
 
-Both return the tied keys, each once, as an ascending list, except that
-`counter_scan` returns the `PairKeys` it ran on when every pair ties: it
-regenerates the pair keys and gives the least few without listing them
-(`PairKeys.head`). `scan_pairs` also returns that `PairKeys`, so that the
-caller keeps the points' keys with the result.
+All return the tied keys, each once, as an ascending list, except that
+the pair kernels return the `PairKeys` they ran on when every pair ties,
+which regenerates the pair keys and gives the least few without listing
+them (`PairKeys.head`). `scan_pairs` also returns that `PairKeys`, so
+that the caller keeps the points' keys with the result.
 
 `scan_pairs` runs the kernel that `kernel_for` picks from the grid and
 the pair count: the cheaper one by the cost model.
 Dense shapes such as the triangle and rhombus families have grids far
 smaller than their pair counts; far-flung or sparse shapes do not, and
-stay on the Counter. `kernel_for` refuses, before either kernel
+stay on the pair kernel. `kernel_for` refuses, before either kernel
 allocates anything, a scan estimated to take longer than MAX_SCAN_NS, or
-a Counter scan whose keys could need more than MAX_SCAN_BYTES
+a pair scan whose keys could need more than MAX_SCAN_BYTES
 (`counter_bytes`). A flip maps a shape's `lattice.Box` hull onto its
 image's (`Box.flip`), so the grid is `box_grid(hull, flip)`: the CLI
 checks a shape with it before building it, and `oracle.solve` scans with
@@ -64,8 +71,12 @@ from typing import NamedTuple
 from coinflip.lattice import Box, FlipKind, Image
 
 # Cost model, in nanoseconds, measured on CPython 3.11 on a 2-core x86
-# VM. The Counter spends about 400 ns per pair, charged for all |S|·|F|
-# pairs. A half count (rot180) counts only |S|(|S| - 1)/2 of them, so its
+# VM. The pair kernel is charged 400 ns for each of all |S|·|F| pairs, a
+# bound on its worst case: when most image rows collide it compares the
+# differences and then counts every pair anyway, at up to about 300 ns per
+# pair (two far-apart copies of a 300-coin cluster), where the Counter
+# alone spends 140-240 ns and a scan with no collision about 90 ns.
+# A half count (rot180) counts only |S|(|S| - 1)/2 of them, so its
 # estimate is conservative by about 2x, on purpose: the kernel choice and
 # every refusal stay those of the full count. The product kernel spends
 # about 200 ns per grid cell to fill and read the grid, plus the
@@ -80,8 +91,8 @@ _KARATSUBA_EXPONENT = 1.585
 MAX_GRID_BYTES = 16 << 20
 
 # kernel_for refuses a scan estimated to take longer than this. The product
-# kernel at MAX_GRID_BYTES is estimated at about 90 s, so only the Counter,
-# on more than about 1.5e9 pairs, can exceed it: a dense shape past the
+# kernel at MAX_GRID_BYTES is estimated at about 90 s, so only the pair
+# kernel, on more than about 1.5e9 pairs, can exceed it: a dense shape past the
 # byte cap (a triangle of 1025 rows or more) or a 40k-coin sparse one.
 MAX_SCAN_NS = 600 * 10**9
 
@@ -92,12 +103,13 @@ MAX_SCAN_NS = 600 * 10**9
 # bytes more for each further 30 bits.
 _COUNTER_BYTES_PER_KEY = 96
 
-# kernel_for refuses a Counter scan estimated to need more memory than
+# kernel_for refuses a pair scan estimated to need more memory than
 # this. The product kernel's grid is capped far lower (MAX_GRID_BYTES).
 MAX_SCAN_BYTES = 2 << 30
 
 # counter_scan counts at most about this many pairs into one Counter at a
-# time, unless many pairs share a narrow range of keys (see counter_scan).
+# time, unless many pairs share a narrow range of keys (see counter_scan);
+# difference_scan cuts the key differences into as many bands.
 BAND_PAIRS = 1 << 16
 
 _TYPECODES = {2: "H", 4: "I"}
@@ -177,13 +189,8 @@ def _product_ns(grid: Grid, pairs: int) -> float:
     )
 
 
-def estimate_ns(grid: Grid, pairs: int) -> float:
-    """Estimated time of the kernel kernel_for picks: the cheaper one."""
-    return min(_product_ns(grid, pairs), _NS_PER_PAIR * pairs)
-
-
 def counter_bytes(grid: Grid, pairs: int) -> int:
-    """Estimated peak memory of the Counter kernel, in bytes.
+    """Estimated peak memory of the pair kernel, in bytes.
 
     A scan holds at most min(pairs, grid.cells) distinct keys, each no
     larger than grid.cells. Banding usually keeps far fewer alive at once
@@ -192,7 +199,9 @@ def counter_bytes(grid: Grid, pairs: int) -> int:
     of them (it returns `PairKeys`), but that does not lower the bound:
     a one-band scan peaks while its Counter's table grows, before any tie
     is listed. 300 coins at 2^40 in one band peak at 10.87 MiB against an
-    estimate of 11.33 MiB (tracemalloc, CPython 3.11).
+    estimate of 11.33 MiB (tracemalloc, CPython 3.11). difference_scan
+    frees its difference sets before any Counter runs, and runs one on at
+    most the same pairs.
     """
     key_bytes = _COUNTER_BYTES_PER_KEY + sys.getsizeof(grid.cells)
     return min(pairs, grid.cells) * key_bytes
@@ -216,10 +225,10 @@ class ScanBudgetError(ValueError):
 
 class PairKeys:
     """The pairs of one scan: the sorted start keys `ks` and flipped keys
-    `kfs` (`point_keys`), which both kernels take, and as a sequence every
+    `kfs` (`point_keys`), which every kernel takes, and as a sequence every
     pair key, each once when no two pairs share one: |S|·|F| sums, or for
     a half count (`ks == kfs`, one list) the |S|(|S| - 1)/2 sums of two
-    different start keys. counter_scan returns it in place of a tie list
+    different start keys. A pair kernel returns it in place of a tie list
     when every pair ties, and `oracle.Placements` keeps it as the coins'
     keys.
 
@@ -263,7 +272,9 @@ class PairKeys:
 
 def counter_scan(pairs: PairKeys):
     """Reference kernel: count the shift key of every pair, one band of
-    keys at a time.
+    keys at a time. kernel_for does not pick it: difference_scan runs it
+    on every pair, or on only the rows in which a key can repeat, and
+    tier-1 checks the other kernels against it.
 
     ks and kfs are the sorted start and flipped keys, so the pair keys lie
     in [ks[0] + kfs[0], ks[-1] + kfs[-1]]. That range is cut into
@@ -342,6 +353,68 @@ def counter_scan(pairs: PairKeys):
     return best, keys
 
 
+def _colliding_rows(pairs: PairKeys) -> list[int] | None:
+    """The flipped keys kf of the rows that share a pair key with another
+    row, ascending, or None once they are more than half of kfs.
+
+    Pairs (i, j) and (k, l) share a key when ks[i] - ks[k] = kfs[l] - kfs[j]
+    = d, and then d > 0 for one of the two orders. The differences lie in
+    (0, span], with span the lesser of the two key ranges, cut into the
+    bands of counter_scan's rule. For each band [lo, hi), the start keys'
+    differences in it are put in a set, and each row kf probes it with the
+    differences kf' - kf of the flipped keys kf' above it; a hit names the
+    rows of kf and kf'.
+    """
+    ks, kfs = pairs.ks, pairs.kfs
+    span = min(ks[-1] - ks[0], kfs[-1] - kfs[0])
+    bands = -(-len(ks) * len(kfs) // BAND_PAIRS)
+    step = -(-span // bands) or 1  # span 0: one key on a side, no difference
+    rows = set()
+    for lo in range(1, span + 1, step):
+        hi = lo + step
+        diffs = {
+            y - x
+            for i, x in enumerate(ks, 1)
+            for y in ks[bisect_left(ks, x + lo, i) : bisect_left(ks, x + hi, i)]
+        }
+        for j, kf in enumerate(kfs, 1):
+            above = kfs[bisect_left(kfs, kf + lo, j) : bisect_left(kfs, kf + hi, j)]
+            probes = [y - kf for y in above]
+            if not diffs.isdisjoint(probes):
+                rows.add(kf)
+                rows.update(compress(above, map(diffs.__contains__, probes)))
+                if 2 * len(rows) > len(kfs):
+                    return None
+    return sorted(rows)
+
+
+def difference_scan(pairs: PairKeys):
+    """Pair kernel: counter_scan on only the rows whose pair keys can repeat.
+
+    In a full count, pairs (i, j) and (k, l) share a key exactly when
+    ks[i] - ks[k] = kfs[l] - kfs[j], so a key counted r >= 2 times has all
+    r pairs in rows j that are in such a collision (`_colliding_rows`).
+    With no such row every key is counted once: the best is 1 and every
+    pair ties, which is counter_scan's `(1, pairs)`. Otherwise
+    counter_scan over those rows alone finds every key counted twice or
+    more with its full count, so the same best (at least 2) and the same
+    ascending tie list; a key counted once there lies below that best.
+
+    A half count, and a scan in which more than half the rows collide,
+    is counter_scan(pairs) as it is. The difference sets are freed
+    before the Counter runs: a band's set holds no more of the
+    |S|(|S| - 1)/2 start differences than lie in it, and fewer distinct
+    keys than the cells of the grid, so counter_bytes still bounds the
+    kernel.
+    """
+    rows = None if pairs.half else _colliding_rows(pairs)
+    if rows is None:
+        return counter_scan(pairs)
+    if not rows:
+        return 1, pairs
+    return counter_scan(PairKeys(pairs.ks, rows, False))
+
+
 def product_scan(pairs: PairKeys):
     """Kronecker-substitution kernel: one big-integer product.
 
@@ -395,15 +468,17 @@ def product_scan(pairs: PairKeys):
 
 def kernel_for(grid: Grid, pairs: int):
     """The kernel to scan `pairs` point pairs laid out as `grid`:
-    product_scan when its estimate is at most the Counter's, else counter_scan.
+    product_scan when its estimate is at most the pair kernel's, else
+    difference_scan. This is the cost model's one statement: the scan is
+    estimated at the cheaper kernel's time.
 
-    Raises ScanBudgetError when `estimate_ns` is over MAX_SCAN_NS or, for
-    the Counter, `counter_bytes` is over MAX_SCAN_BYTES. Time is checked
-    first. It reads only the grid and the pair count, so a caller that
-    knows them can check a scan before building its points.
+    Raises ScanBudgetError when that estimate is over MAX_SCAN_NS or, for
+    the pair kernel, `counter_bytes` is over MAX_SCAN_BYTES. Time is
+    checked first. It reads only the grid and the pair count, so a caller
+    that knows them can check a scan before building its points.
     """
     product = _product_ns(grid, pairs)
-    cost = min(product, _NS_PER_PAIR * pairs)  # estimate_ns
+    cost = min(product, _NS_PER_PAIR * pairs)
     if cost > MAX_SCAN_NS:
         raise ScanBudgetError(cost, pairs)
     if product <= cost:
@@ -411,7 +486,7 @@ def kernel_for(grid: Grid, pairs: int):
     memory = counter_bytes(grid, pairs)
     if memory > MAX_SCAN_BYTES:
         raise ScanBudgetError(cost, pairs, memory)
-    return counter_scan
+    return difference_scan
 
 
 def point_keys(start, flipped, grid: Grid) -> PairKeys:

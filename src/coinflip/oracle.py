@@ -8,9 +8,10 @@ an estimate.
 
 The translation scan is the hot loop; coinflip._scan.scan_pairs runs it.
 It has two exact pure-Python kernels: a big-integer product over the
-bounding-box grid for dense shapes, and the reference Counter over all
-coin pairs for sparse or far-flung ones. A cost model read off the
-bounding boxes picks between them per call.
+bounding-box grid for dense shapes, and for sparse or far-flung ones a
+pair kernel that compares key differences and counts, with the
+reference Counter, only the coin pairs whose shifts can repeat. A cost
+model read off the bounding boxes picks between them per call.
 
 Inside a solve, every coin and every shift is one integer key in the
 scan's `_scan.Grid` layout, taken from the box that the CLI already has,
@@ -65,7 +66,7 @@ def backend() -> str:
     """Which scan implementation solve() uses: always "pure".
 
     Both kernels are pure Python (standard library only); scan_pairs
-    picks the big-integer product or the pair Counter per call, by cost.
+    picks the big-integer product or the pair kernel per call, by cost.
     """
     return "pure"
 

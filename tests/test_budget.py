@@ -1,5 +1,5 @@
-"""The scan budget: a scan estimated over MAX_SCAN_NS, or a Counter scan
-estimated over MAX_SCAN_BYTES, is refused up front.
+"""The scan budget: a scan estimated over MAX_SCAN_NS, or a pair-kernel
+scan estimated over MAX_SCAN_BYTES, is refused up front.
 
 Only estimates and synthetic Grids are used here; no test starts a scan
 anywhere near the budget. The CLI refusals replace both kernels with
@@ -23,7 +23,7 @@ from coinflip._scan import (
     box_grid,
     counter_bytes,
     counter_scan,
-    estimate_ns,
+    difference_scan,
     kernel_for,
     point_keys,
     product_scan,
@@ -38,6 +38,14 @@ def triangle_grid(n):
     """The Grid of triangle_up(n) against its half-turn, without the coins."""
     coins = n * (n + 1) // 2
     return Grid(2 * n - 1, n, n, 0, 0, 0, 0), coins**2
+
+
+def estimate_ns(grid, pairs):
+    """kernel_for's time estimate, which holds the cost model, read off
+    its refusal under a budget below any estimate."""
+    with patch.object(_scan, "MAX_SCAN_NS", -1), pytest.raises(ScanBudgetError) as refusal:
+        kernel_for(grid, pairs)
+    return refusal.value.estimate_ns
 
 
 def test_triangle_grid_matches_box_grid():
@@ -137,7 +145,7 @@ def refuse_to_scan(monkeypatch):
         raise AssertionError("a scan over the budget was started")
 
     monkeypatch.setattr(_scan, "product_scan", fail)
-    monkeypatch.setattr(_scan, "counter_scan", fail)
+    monkeypatch.setattr(_scan, "difference_scan", fail)
 
 
 def test_scan_pairs_refuses_before_either_kernel_runs(monkeypatch):
@@ -190,7 +198,7 @@ def test_the_memory_cap_refuses_nothing_the_product_accepts():
         assert _scan._cell_bytes(pairs) == cell_bytes
         grid = Grid(MAX_GRID_BYTES // cell_bytes, 1, 1, 0, 0, 0, 0)
         assert _scan._product_ns(grid, pairs) < math.inf
-        kernel = counter_scan if cell_bytes == 1 else product_scan
+        kernel = difference_scan if cell_bytes == 1 else product_scan
         assert kernel_for(grid, pairs) is kernel
 
 
@@ -224,11 +232,44 @@ def test_the_estimate_bounds_a_one_band_scan():
     assert estimate / 2 < peak <= estimate
 
 
+def scan_peak(kernel, start, flip):
+    """The tracemalloc peak of `kernel` on `start` against its image, keys
+    included, and the kernel's result."""
+    flipped = flip_points(start, flip)
+    grid = box_grid(Box.of(start), flip)
+    tracemalloc.start()
+    try:
+        result = kernel(point_keys(start, flipped, grid))
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_difference_kernel_needs_no_more_than_the_counter():
+    # the one-band scan above, every pair key distinct: its difference set
+    # holds half as many keys as the Counter, and no Counter runs
+    rng = random.Random(17)
+    start = sorted({(rng.randrange(1 << 40), rng.randrange(1 << 40)) for _ in range(300)})
+    pairs = len(start) ** 2
+    with patch.object(_scan, "BAND_PAIRS", pairs):
+        peak, (best, keys) = scan_peak(difference_scan, start, FlipKind.MIRROR_HORIZONTAL)
+    assert best == 1 and len(keys) == pairs
+    assert peak <= counter_bytes(box_grid(Box.of(start), FlipKind.MIRROR_HORIZONTAL), pairs)
+    # sparse_custom's 600 coins over 2^40, in bands, against the reference
+    rng = random.Random(600)
+    far = sorted({(rng.randint(-(2**40), 2**40), rng.randint(-(2**40), 2**40)) for _ in range(600)})
+    for flip in (FlipKind.MIRROR_HORIZONTAL, FlipKind.MIRROR_VERTICAL):
+        peak, (best, _) = scan_peak(difference_scan, far, flip)
+        reference_peak, (reference_best, _) = scan_peak(counter_scan, far, flip)
+        assert best == reference_best == 1
+        assert peak <= reference_peak
+
+
 def test_scan_pairs_refuses_the_counter_before_it_runs(monkeypatch):
     start = [(a << 30, 0) for a in range(10)]
     flipped = flip_points(start, FlipKind.ROTATE_180)
     grid = box_grid(Box.of(start), FlipKind.ROTATE_180)
-    assert kernel_for(grid, 100) is counter_scan
+    assert kernel_for(grid, 100) is difference_scan
     assert scan_pairs(start, flipped, grid)[0] == 10
     memory = counter_bytes(grid, 100)
     monkeypatch.setattr(_scan, "MAX_SCAN_BYTES", memory - 1)
@@ -239,7 +280,7 @@ def test_scan_pairs_refuses_the_counter_before_it_runs(monkeypatch):
     assert exc.value.estimate_ns == estimate_ns(grid, 100)
     assert exc.value.pairs == 100
     monkeypatch.setattr(_scan, "MAX_SCAN_BYTES", memory)
-    monkeypatch.setattr(_scan, "counter_scan", lambda *args: ("best", "keys"))
+    monkeypatch.setattr(_scan, "difference_scan", lambda *args: ("best", "keys"))
     assert scan_pairs(start, flipped, grid)[:2] == ("best", "keys")
 
 

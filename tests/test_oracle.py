@@ -13,6 +13,7 @@ from coinflip._scan import (
     PairKeys,
     box_grid,
     counter_scan,
+    difference_scan,
     kernel_for,
     point_keys,
     product_scan,
@@ -270,7 +271,7 @@ def scatter(coins, side, seed):
 )
 def test_sparse_shapes_stay_on_the_counter(shape):
     start, _, grid = scan_inputs(shape, FlipKind.ROTATE_180)
-    assert kernel_for(grid, len(start) ** 2) is counter_scan
+    assert kernel_for(grid, len(start) ** 2) is difference_scan
 
 
 def test_byte_cap_bounds_the_grid():
@@ -310,14 +311,14 @@ def test_the_kernel_that_ran_follows_from_the_result():
         for flip in FlipKind:
             with (
                 patch.object(_scan, "product_scan", wraps=product_scan) as product,
-                patch.object(_scan, "counter_scan", wraps=counter_scan) as counter,
+                patch.object(_scan, "difference_scan", wraps=difference_scan) as pair,
             ):
                 result = solve(shape, flip)
-            calls = {product_scan: product.call_count, counter_scan: counter.call_count}
+            calls = {product_scan: product.call_count, difference_scan: pair.call_count}
             kernel = kernel_for(result.optimal_placements.grid, result.total_coins**2)
             assert calls[kernel] == 1 and sum(calls.values()) == 1
             ran[kernel] += 1
-    assert ran[product_scan] and ran[counter_scan]
+    assert ran[product_scan] and ran[difference_scan]
 
 
 # Coordinates up to 2^40 in size, mixed with small ones so that some
